@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigen import converged_spectrum
+from .eigen import Classification, converged_spectrum
 from .fockspace import ModelParams, Variant
 from .specialfn import assoc_laguerre1, f1, g0, laguerre
 
@@ -427,7 +427,8 @@ def error_map(
     The analytic candidate is the displaced-vacuum energy in region I and
     the minimum block eigenvalue in region II; the region boundary (where
     the two candidates cross along g) is flagged.  Per-point failures are
-    recorded as NaN entries rather than aborting the sweep.
+    recorded as NaN entries rather than aborting the sweep; e_numeric and
+    delta_e are NaN unless the numeric spectrum converged within max_cutoff.
     """
     g_grid = [float(g) for g in g_grid]
     u_grid = [float(u) for u in u_grid]
@@ -439,7 +440,10 @@ def error_map(
             try:
                 e0, block_min = _analytic_ground_candidates(p, n_blocks)
                 spec, report = converged_spectrum(p, 1, tol=tol, max_cutoff=max_cutoff)
-                e_num = float(spec.energies[0])
+                settled = report.classification in (
+                    Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE
+                )
+                e_num = float(spec.energies[0]) if settled else np.nan
             except (LambdaSolveError, RegimeViolationError):
                 points.append(ErrorMapPoint(g, u, np.nan, np.nan, np.nan, "", False))
                 prev_sign = None

@@ -26,13 +26,15 @@ from .analytic import (
     error_map,
 )
 from .colimit import CoRegimeError, crossing_ladder
-from .eigen import (
+# eigen_symmetric and build_hamiltonian stay importable for perfbench/spans.py
+from .eigen import (  # noqa: F401
     Classification,
     SolverError,
     converged_spectrum,
     eigen_symmetric,
+    spectrum_at_cutoff,
 )
-from .fockspace import ModelParams, Variant, build_hamiltonian
+from .fockspace import ModelParams, Variant, build_hamiltonian  # noqa: F401
 from .observables import DivergentSpectrumError, ResolutionError, staircase_scan
 
 EXIT_OK = 0
@@ -126,9 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g", type=float, default=0.0)
         p.add_argument("--capital-u", type=float, default=0.0)
         p.add_argument("--kappa", type=float, default=0.0)
-        cut = p.add_mutually_exclusive_group()
-        cut.add_argument("--cutoff", type=int, default=None)
-        cut.add_argument("--auto-cutoff", action="store_true", default=False)
+        p.add_argument("--cutoff", type=int, default=None)
         p.add_argument("--levels", type=int, default=6)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--scan", action="append", default=[])
@@ -242,19 +242,14 @@ def _sweep_point(spec: SweepSpec, axis: str, value: float):
     p = dc_replace(spec.params, **{axis: value * spec.omega})
     rows = []
     if spec.cutoff is not None:
-        s = eigen_symmetric(build_hamiltonian(p, spec.cutoff), spec.levels)
+        s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
         cutoff_used, classification = spec.cutoff, Classification.UNDETERMINED.value
-        energies = s.energies
     else:
         s, report = converged_spectrum(
-            p,
-            spec.levels,
-            tol=spec.tol,
-            degeneracy_window=1e-2 * spec.omega,
+            p, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
         )
         cutoff_used, classification = report.final_cutoff, report.classification.value
-        energies = s.energies
-    for j, energy in enumerate(energies):
+    for j, energy in enumerate(s.energies):
         rows.append([value, j, float(energy), "numeric", cutoff_used, classification])
     try:
         for idx, label, energy in analytic_level_ladder(p, spec.levels // 2 + 2):
@@ -321,17 +316,12 @@ def run(spec: SweepSpec) -> int:
             columns = COLLAPSE_COLUMNS
             total_points = 1
             if spec.cutoff is not None:
-                s = eigen_symmetric(
-                    build_hamiltonian(spec.params, spec.cutoff), spec.levels
-                )
+                s = spectrum_at_cutoff(spec.params, spec.cutoff, spec.levels)
                 history = [(spec.cutoff, s.energies)]
                 classification = Classification.UNDETERMINED.value
             else:
                 _, report = converged_spectrum(
-                    spec.params,
-                    spec.levels,
-                    tol=spec.tol,
-                    degeneracy_window=1e-2 * spec.omega,
+                    spec.params, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
                 )
                 history = report.history
                 classification = report.classification.value

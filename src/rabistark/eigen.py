@@ -1,17 +1,20 @@
 """Symmetric eigensolver plus the cutoff-convergence controller.
 
-The controller doubles the Fock cutoff until the tracked levels stop moving
-(Converged), the ground energy keeps dropping (UnboundedBelow) or the budget
-is exhausted (Undetermined).  Converged spectra whose tracked levels sit
-inside a declared degeneracy window are sub-classified CollapsedDegenerate,
-which is the numerical signature of spectral collapse at u = 2 omega.
+Model spectra are solved on the two tridiagonal Z2 parity-sector chains
+(Braak, PRL 107, 100401 (2011)).  The controller doubles the Fock cutoff
+until the tracked levels stop moving (Converged), the ground energy keeps
+dropping (UnboundedBelow) or the budget is exhausted (Undetermined).
+Converged spectra whose tracked levels sit inside a declared degeneracy
+window are sub-classified CollapsedDegenerate, which is the numerical
+signature of spectral collapse at u = 2 omega.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh
+from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg.blas import dsbmv
 
 from .fockspace import HamiltonianMatrix, ModelParams, build_hamiltonian
 
@@ -65,11 +68,12 @@ def _band_of(h) -> tuple[np.ndarray, int]:
 def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
     """Lowest k eigenpairs of a real symmetric matrix.
 
-    h may be a HamiltonianMatrix (solved in band form) or a dense symmetric
-    ndarray.  Eigenvalues come back ascending.  When vectors are requested
-    they are checked against the residual contract
-    ||H v - E v|| <= 1e-8 (1 + |E|) and normalized with a fixed sign
-    convention (largest-magnitude component positive).
+    h may be a HamiltonianMatrix (solved in band form, tridiagonal when the
+    bandwidth is 1) or a dense symmetric ndarray.  Eigenvalues come back
+    ascending.  When vectors are requested they are checked against the
+    residual contract ||H v - E v|| <= 1e-8 (1 + |E|), with H v a band
+    product, and normalized with a fixed sign convention (largest-magnitude
+    component positive).
     """
     mat, dim = _band_of(h)
     if not 1 <= k <= dim:
@@ -77,7 +81,12 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
 
     banded = isinstance(h, HamiltonianMatrix)
     try:
-        if banded:
+        if banded and h.bandwidth == 1:  # eig_banded would form a dim x dim Q
+            out = eigh_tridiagonal(
+                h.band[0], h.band[1, :-1], eigvals_only=not want_vectors,
+                select="i", select_range=(0, k - 1),
+            )
+        elif banded:
             out = eig_banded(
                 h.band,
                 lower=True,
@@ -107,13 +116,16 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
         raise SolverError("eigenvalues returned out of order")
 
     if vectors is not None:
-        dense = h.to_dense() if banded else mat
+        if banded:
+            hv = np.column_stack([dsbmv(h.bandwidth, 1.0, mat, v, lower=1) for v in vectors.T])
+        else:
+            hv = mat @ vectors
         for j in range(k):
             v = vectors[:, j]
             norm = np.linalg.norm(v)
             if abs(norm - 1.0) > NORM_TOL:
                 raise SolverError(f"eigenvector {j} norm {norm} violates unit-norm contract")
-            resid = np.linalg.norm(dense @ v - energies[j] * v)
+            resid = np.linalg.norm(hv[:, j] - energies[j] * v)
             bound = RESIDUAL_SCALE * (1.0 + abs(energies[j]))
             if resid > bound:
                 raise SolverError(
@@ -125,6 +137,18 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
 
     cutoff = h.cutoff if banded else dim - 1
     return Spectrum(energies=energies, cutoff=cutoff, k_requested=k, vectors=vectors)
+
+
+def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
+    """Lowest k levels at a fixed photon cutoff: the merged lowest
+    min(k, cutoff + 1) levels of the two parity-sector chains."""
+    dim = 2 * (cutoff + 1)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
+    m = min(k, cutoff + 1)
+    sectors = [eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), m) for p in (+1, -1)]
+    energies = np.sort(np.concatenate([s.energies for s in sectors]))[:k]
+    return Spectrum(energies=energies, cutoff=cutoff, k_requested=k)
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int):
@@ -141,7 +165,6 @@ def converged_spectrum(
     max_cutoff: int = DEFAULT_MAX_CUTOFF,
     start_cutoff: int = DEFAULT_START_CUTOFF,
     degeneracy_window: float = DEFAULT_DEGENERACY_WINDOW,
-    want_vectors: bool = False,
 ) -> tuple[Spectrum, ConvergenceReport]:
     """Doubling-schedule spectrum with convergence classification.
 
@@ -166,7 +189,7 @@ def converged_spectrum(
     drift_rate = np.nan
 
     for cutoff in _doubling_schedule(start_cutoff, max_cutoff, k):
-        spec = eigen_symmetric(build_hamiltonian(params, cutoff), k)
+        spec = spectrum_at_cutoff(params, cutoff, k)
         history.append((cutoff, spec.energies))
         if len(history) >= 2:
             prev = history[-2][1]
@@ -198,13 +221,7 @@ def converged_spectrum(
             f"max_cutoff={max_cutoff}"
         )
     final_cutoff = history[-1][0]
-    spectrum = Spectrum(
-        energies=history[-1][1], cutoff=final_cutoff, k_requested=k, vectors=None
-    )
-    if want_vectors:
-        spectrum = eigen_symmetric(
-            build_hamiltonian(params, final_cutoff), k, want_vectors=True
-        )
+    spectrum = Spectrum(energies=history[-1][1], cutoff=final_cutoff, k_requested=k)
 
     report = ConvergenceReport(
         classification=classification,

@@ -1,6 +1,6 @@
 """Eigenvector observables: ground-state mean photon number, staircase
 detection with slope fitting, and level-crossing detection in numerical
-spectra."""
+spectra, all on the two parity-sector chains."""
 
 import math
 from dataclasses import dataclass, field, replace as dc_replace
@@ -8,11 +8,11 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .colimit import check_co_regime
-from .eigen import Classification, converged_spectrum, eigen_symmetric
-from .fockspace import ModelParams, Variant, build_hamiltonian, mean_photon_operator
+from .eigen import Classification, Spectrum, converged_spectrum, eigen_symmetric
+from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
-GAP_THRESHOLD = 1e-6
+CROSSING_XTOL = 1e-12
 
 
 class DivergentSpectrumError(RuntimeError):
@@ -38,6 +38,42 @@ def initial_cutoff(params: ModelParams) -> int:
     return 32
 
 
+def _sectors(params: ModelParams, cutoff: int, k: int, want_vectors=False) -> list[Spectrum]:
+    """Lowest min(k, cutoff + 1) eigenpairs of the parity +1 and -1 chains."""
+    k = min(k, cutoff + 1)
+    return [
+        eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), k, want_vectors)
+        for p in (+1, -1)
+    ]
+
+
+def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, float]:
+    """Root of E+_a - E-_b in [lo, hi] along parameter name, at a fixed cutoff.
+
+    A chain with g > 0 has a simple spectrum, so every true level crossing
+    is one between the two sectors.  Bisects to |dx| < CROSSING_XTOL (or to
+    float spacing) and returns the position with |E+_a - E-_b| there;
+    raises ValueError when the bracket holds no sign change.
+    """
+
+    def diff(x):
+        plus, minus = _sectors(dc_replace(params, **{name: x}), cutoff, max(a, b) + 1)
+        return float(plus.energies[a] - minus.energies[b])
+
+    lo, hi = float(lo), float(hi)
+    above_lo = diff(lo) > 0.0
+    if above_lo == (diff(hi) > 0.0):
+        raise ValueError(f"E+_{a} - E-_{b} does not change sign for {name} in [{lo}, {hi}]")
+    mid = 0.5 * (lo + hi)
+    while hi - lo >= CROSSING_XTOL and lo < mid < hi:
+        if (diff(mid) > 0.0) == above_lo:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid, abs(diff(mid))
+
+
 def _mean_photon_detail(
     params: ModelParams,
     tol: float,
@@ -47,13 +83,8 @@ def _mean_photon_detail(
 ) -> tuple[float, int]:
     if start_cutoff is None:
         start_cutoff = initial_cutoff(params)
-    spec, report = converged_spectrum(
-        params,
-        k=1,
-        tol=tol,
-        max_cutoff=max_cutoff,
-        start_cutoff=start_cutoff,
-        want_vectors=True,
+    _, report = converged_spectrum(
+        params, k=1, tol=tol, max_cutoff=max_cutoff, start_cutoff=start_cutoff
     )
     if report.classification is Classification.UNBOUNDED_BELOW:
         raise DivergentSpectrumError(
@@ -66,19 +97,20 @@ def _mean_photon_detail(
             f"spectrum did not converge within max_cutoff = {max_cutoff}"
         )
 
-    cutoff, vec = spec.cutoff, spec.vectors[:, 0]
+    cutoff = report.final_cutoff
     while True:
-        occ = vec * vec
-        if occ[-4:].sum() < tail_tol:  # top two Fock levels, both spins
-            weights = mean_photon_operator(cutoff).diagonal()
-            return float(occ @ weights), cutoff
+        # the ground state is the lower of the two sector ground states, and
+        # chain site n carries n photons
+        sectors = _sectors(params, cutoff, 1, want_vectors=True)
+        ground = min(sectors, key=lambda s: s.energies[0])
+        occ = ground.vectors[:, 0] ** 2
+        if occ[-2:].sum() < tail_tol:  # top two Fock levels
+            return float(occ @ np.arange(cutoff + 1)), cutoff
         cutoff *= 2
         if cutoff > max_cutoff:
             raise DivergentSpectrumError(
                 f"Fock tail does not fall below {tail_tol} within cutoff {max_cutoff}"
             )
-        s = eigen_symmetric(build_hamiltonian(params, cutoff), 1, want_vectors=True)
-        vec = s.vectors[:, 0]
 
 
 def mean_photon_ground(
@@ -112,21 +144,6 @@ class StaircaseReport:
     cutoffs: list[int] = field(default_factory=list, repr=False)
 
 
-def _refine_edge(params, u_lo, u_hi, target, tol, bisect_tol=1e-6):
-    f = lambda u: mean_photon_ground(dc_replace(params, u=u), tol=tol) - target
-    f_lo = f(u_lo)
-    for _ in range(60):
-        mid = 0.5 * (u_lo + u_hi)
-        fm = f(mid)
-        if f_lo * fm <= 0.0:
-            u_hi = mid
-        else:
-            u_lo, f_lo = mid, fm
-        if u_hi - u_lo < bisect_tol:
-            break
-    return 0.5 * (u_lo + u_hi)
-
-
 def staircase_scan(
     params: ModelParams,
     u_values,
@@ -138,11 +155,12 @@ def staircase_scan(
 ) -> StaircaseReport:
     """Ground-state mean photon number across a Stark-coupling grid.
 
-    Detects step edges as bisection-refined half-integer crossings, measures
-    widths and plateau values, and fits the renormalized staircase midline
-    slope by least squares.  The fit window starts one full step after the
-    first edge; the fitted slope is NaN when fewer than five midline points
-    land in the window.
+    Step edges are the ground-state crossings of the two parity sectors
+    (E+_0 = E-_0) inside grid intervals where the mean photon number jumps
+    by at least 1/2.  Measures widths and plateau values, and fits the
+    renormalized staircase midline slope by least squares.  The fit window
+    starts one full step after the first edge; the fitted slope is NaN when
+    fewer than five midline points land in the window.
     """
     if params.variant is not Variant.COMPLETED:
         raise ValueError("staircase scan requires the completed model variant")
@@ -176,13 +194,11 @@ def staircase_scan(
     nbar = np.array([r[0] for r in results])
     cutoffs = [r[1] for r in results]
 
-    edges: list[float] = []
-    for i in range(len(u_values) - 1):
-        if nbar[i + 1] - nbar[i] >= 0.5:
-            target = round(nbar[i]) + 0.5
-            edges.append(
-                _refine_edge(params, float(u_values[i]), float(u_values[i + 1]), target, tol)
-            )
+    edges = [
+        _sector_crossing(params, "u", u_values[i], u_values[i + 1], max(cutoffs[i : i + 2]))[0]
+        for i in range(len(u_values) - 1)
+        if nbar[i + 1] - nbar[i] >= 0.5
+    ]
     widths = [edges[j + 1] - edges[j] for j in range(len(edges) - 1)]
 
     # plateau values: average over interior points at least one grid step
@@ -238,14 +254,15 @@ def detect_level_crossings(
     param_name: str,
     values,
     levels: int,
-    gap_threshold: float = GAP_THRESHOLD,
     tol: float = 1e-8,
 ) -> list[CrossingEvent]:
-    """True level crossings along a one-parameter sweep.
+    """True level crossings among the lowest `levels` levels along a sweep.
 
-    A crossing is a local minimum of an adjacent-level gap that refines
-    (golden-section, at the converged cutoff) to below gap_threshold.
-    Avoided crossings stay above the threshold and are not reported.
+    A crossing is a sign change of E+_a - E-_b (sector levels a and b,
+    a + b + 1 < levels) between neighbouring converged sweep points.  It is
+    bisected at the larger of the two points' cutoffs and reported as the
+    merged pair (a + b, a + b + 1) with gap |E+_a - E-_b|.  Requires g > 0
+    at every point: with g = 0 the chains are diagonal and may be degenerate.
     """
     if param_name not in ("g", "u", "kappa", "delta"):
         raise ValueError(f"unsupported sweep parameter {param_name!r}")
@@ -254,9 +271,10 @@ def detect_level_crossings(
     values = np.asarray(list(values), dtype=float)
     if values.size < 3 or np.any(np.diff(values) <= 0):
         raise ValueError("sweep grid must be strictly increasing with >= 3 points")
+    if (values[0] if param_name == "g" else params.g) <= 0.0:
+        raise ValueError("crossing detection needs g > 0 at every sweep point")
 
-    spectra = []
-    cutoffs = []
+    sectors, cutoffs = [], []
     for v in values:
         p = dc_replace(params, **{param_name: float(v)})
         spec, report = converged_spectrum(p, k=levels, tol=tol)
@@ -264,50 +282,19 @@ def detect_level_crossings(
             raise DivergentSpectrumError(
                 f"sweep point {param_name} = {v} is unbounded from below"
             )
-        spectra.append(spec.energies)
+        sectors.append([s.energies for s in _sectors(p, spec.cutoff, levels - 1)])
         cutoffs.append(spec.cutoff)
-    energies = np.array(spectra)
 
     events: list[CrossingEvent] = []
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for j in range(levels - 1):
-        gaps = energies[:, j + 1] - energies[:, j]
-        for i in range(1, len(values) - 1):
-            if not (gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1]):
-                continue
-            if not (gaps[i] < gaps[i - 1] or gaps[i] < gaps[i + 1]):
-                continue
-            cutoff = max(cutoffs[i - 1 : i + 2])
-
-            def gap_at(v):
-                p = dc_replace(params, **{param_name: float(v)})
-                s = eigen_symmetric(build_hamiltonian(p, cutoff), j + 2)
-                return float(s.energies[j + 1] - s.energies[j])
-
-            a, b = float(values[i - 1]), float(values[i + 1])
-            c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
-            fc, fd = gap_at(c), gap_at(d)
-            for _ in range(80):
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - inv_golden * (b - a)
-                    fc = gap_at(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + inv_golden * (b - a)
-                    fd = gap_at(d)
-                if b - a < 1e-10:
-                    break
-            x = 0.5 * (a + b)
-            gap_min = gap_at(x)
-            if gap_min < gap_threshold:
-                events.append(CrossingEvent(value=x, pair=(j, j + 1), gap=gap_min))
-
+    for i in range(len(values) - 1):
+        (plus_lo, minus_lo), (plus_hi, minus_hi) = sectors[i], sectors[i + 1]
+        for a in range(min(len(plus_lo), len(plus_hi))):
+            for b in range(min(len(minus_lo), len(minus_hi), levels - 1 - a)):
+                if (plus_lo[a] > minus_lo[b]) == (plus_hi[a] > minus_hi[b]):
+                    continue
+                x, gap = _sector_crossing(
+                    params, param_name, values[i], values[i + 1], max(cutoffs[i : i + 2]), a, b
+                )
+                events.append(CrossingEvent(value=x, pair=(a + b, a + b + 1), gap=gap))
     events.sort(key=lambda ev: (ev.value, ev.pair))
-    deduped: list[CrossingEvent] = []
-    min_sep = float(np.min(np.diff(values))) / 2.0
-    for ev in events:
-        if deduped and deduped[-1].pair == ev.pair and abs(ev.value - deduped[-1].value) < min_sep:
-            continue
-        deduped.append(ev)
-    return deduped
+    return events

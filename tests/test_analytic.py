@@ -251,6 +251,14 @@ def test_error_map_golden_point():
     assert pt.delta_e == pytest.approx(6.608554291605007e-4, abs=5e-8)
 
 
+def test_error_map_withholds_unconverged_numerics():
+    # at u = 2 omega the ground energy is still moving at cutoff 512
+    base = ModelParams(delta=1.0, variant=STARK)
+    (pt,) = error_map(base, [0.2], [2.0], max_cutoff=512)
+    assert math.isnan(pt.e_numeric) and math.isnan(pt.delta_e)
+    assert math.isfinite(pt.e_analytic) and pt.region in ("I", "II")
+
+
 def test_error_map_hump_at_crossing_row():
     # along g at fixed u = 1.9 the error rises to a local max at the
     # region boundary, dips just past it, then rises again

@@ -1,8 +1,14 @@
 """Eigensolver contracts and the convergence classifier."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rabistark
 from rabistark.eigen import (
     Classification,
     converged_spectrum,
@@ -60,16 +66,18 @@ def test_random_6x6_against_charpoly_oracle():
 
 
 def test_vector_contract():
+    # the full band matrix and both tridiagonal sector chains
     p = ModelParams(delta=1.0, g=0.25, u=0.8, variant=Variant.RABI_STARK)
-    h = build_hamiltonian(p, 40)
-    spec = eigen_symmetric(h, 4, want_vectors=True)
-    dense = h.to_dense()
-    for j in range(4):
-        v = spec.vectors[:, j]
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
-        resid = np.linalg.norm(dense @ v - spec.energies[j] * v)
-        assert resid <= 1e-8 * (1.0 + abs(spec.energies[j]))
-        assert v[np.argmax(np.abs(v))] > 0  # fixed sign convention
+    for parity in (None, +1, -1):
+        h = build_hamiltonian(p, 40, parity=parity)
+        spec = eigen_symmetric(h, 4, want_vectors=True)
+        dense = h.to_dense()
+        for j in range(4):
+            v = spec.vectors[:, j]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
+            resid = np.linalg.norm(dense @ v - spec.energies[j] * v)
+            assert resid <= 1e-8 * (1.0 + abs(spec.energies[j]))
+            assert v[np.argmax(np.abs(v))] > 0  # fixed sign convention
 
 
 def test_k_bounds_validated():
@@ -132,3 +140,18 @@ def test_sorted_energies_invariant():
     spec, _ = converged_spectrum(p, 10, tol=1e-8)
     assert np.all(np.diff(spec.energies) >= 0)
     assert spec.k_requested == 10 and len(spec.energies) == 10
+
+
+def test_solver_paths_leave_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 0.3 s and 20 MiB, more than the
+    # rest of the package's start-up; neither import nor a solve may load it
+    code = (
+        "import sys, rabistark as r\n"
+        "p = r.ModelParams(delta=1.0, g=0.2, kappa=0.1, variant=r.Variant.COMPLETED)\n"
+        "r.detect_level_crossings(p, 'u', [2.08, 2.12, 2.16], 2)\n"
+        "r.mean_photon_ground(p)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(rabistark.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabistark.eigen import eigen_symmetric
+from rabistark.eigen import eigen_symmetric, spectrum_at_cutoff
 from rabistark.fockspace import (
     ModelParams,
     Variant,
@@ -120,13 +120,35 @@ def test_parity_commutator_exactly_zero():
     assert np.max(np.abs(h @ par - par @ h)) == 0.0
 
 
-def test_parity_sectors_reassemble_full_spectrum():
-    p = ModelParams(delta=1.0, g=0.35, u=1.2, variant=Variant.RABI_STARK)
-    full = eigen_symmetric(build_hamiltonian(p, 40), 12).energies
-    plus = eigen_symmetric(build_hamiltonian(p, 40, parity=+1), 12).energies
-    minus = eigen_symmetric(build_hamiltonian(p, 40, parity=-1), 12).energies
-    merged = np.sort(np.concatenate([plus, minus]))[:12]
-    assert np.allclose(merged, full, atol=1e-11)
+@given(
+    delta=couplings,
+    g=st.floats(min_value=0.01, max_value=1.5),
+    u=couplings,
+    kappa=st.floats(min_value=0.0, max_value=0.5),
+    variant=st.sampled_from(list(Variant)),
+    cutoff=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_parity_sectors_reassemble_full_spectrum(delta, g, u, kappa, variant, cutoff):
+    # the sector path against the interleaved full matrix, levels and the
+    # ground state's photon number
+    p = ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
+    h = build_hamiltonian(p, cutoff)
+    k = min(12, h.dim)
+    full = eigen_symmetric(h, k, want_vectors=True)
+    merged = spectrum_at_cutoff(p, cutoff, k).energies
+    assert np.all(np.abs(merged - full.energies) <= 1e-12 * (1.0 + np.abs(full.energies)))
+
+    if full.energies[1] - full.energies[0] < 1e-3:
+        return  # the ground vector is only well defined for a simple ground level
+    sectors = [
+        eigen_symmetric(build_hamiltonian(p, cutoff, parity=s), 1, want_vectors=True)
+        for s in (+1, -1)
+    ]
+    ground = min(sectors, key=lambda spec: spec.energies[0])
+    nbar_sector = ground.vectors[:, 0] ** 2 @ np.arange(cutoff + 1)
+    nbar_full = full.vectors[:, 0] ** 2 @ mean_photon_operator(cutoff).diagonal()
+    assert nbar_sector == pytest.approx(nbar_full, rel=1e-8, abs=1e-10)
 
 
 def test_parity_sector_is_tridiagonal():

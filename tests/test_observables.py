@@ -1,13 +1,14 @@
 """Mean-photon observables, staircase detection, crossing detection."""
 
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
-from rabistark.fockspace import ModelParams, Variant
+from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant
 from rabistark.observables import (
     DivergentSpectrumError,
     ResolutionError,
@@ -45,6 +46,17 @@ def test_initial_cutoff_policy():
     n_star = (2.03 - 2.0 - 2e-3) / 4e-3
     assert initial_cutoff(p) == max(32, 4 * math.ceil(n_star))
     assert initial_cutoff(ModelParams(delta=1.0, g=0.2, u=1.0, variant=STARK)) == 32
+
+
+def test_ground_vectors_need_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(HamiltonianMatrix, "to_dense", refuse)
+    p = ModelParams(delta=200.0, g=0.1, u=2.15, kappa=0.05, variant=CO)
+    assert mean_photon_ground(p) == pytest.approx(1.0, abs=0.05)
+    report = staircase_scan(p, np.arange(2.0, 2.2001, 0.02))
+    assert len(report.edges) == 1
 
 
 def test_staircase_preconditions():
@@ -108,6 +120,8 @@ def test_crossing_detector_validates_input():
         detect_level_crossings(p, "u", [0.1, 0.2, 0.3], 1)
     with pytest.raises(ValueError):
         detect_level_crossings(p, "u", [0.3, 0.2, 0.1], 2)
+    with pytest.raises(ValueError):  # g = 0: diagonal chains, degenerate sectors
+        detect_level_crossings(dc_replace(p, g=0.0), "u", [0.1, 0.2, 0.3], 2)
 
 
 def test_completed_first_crossing_after_original_critical_point():
