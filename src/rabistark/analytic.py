@@ -26,6 +26,8 @@ from .specialfn import assoc_laguerre1, f1, g0, laguerre
 
 LAMBDA_RESIDUAL_TOL = 1e-10
 _BRACKET_STEPS = 256
+_REFINE_XTOL = 1e-15
+_REFINE_MAX_ITER = 100
 _FIXED_POINT_MAX_ITER = 1000
 
 
@@ -88,49 +90,49 @@ def lambda_condition_residual(params: ModelParams, n: int, t_z: int, lam: float)
 
 
 def _solve_bracketed(fn, n, t_z) -> float:
-    # first sign change scanning from 0 toward -1, then bisection + secant polish
+    # first sign change scanning from 0 toward -1, then safeguarded Illinois
     a, fa = 0.0, fn(0.0)
     if fa == 0.0:
         return 0.0
-    lo = hi = None
     for i in range(1, _BRACKET_STEPS + 1):
         b = -i / _BRACKET_STEPS
         fb = fn(b)
         if fa * fb <= 0.0:
-            lo, hi, flo = b, a, fb
             break
         a, fa = b, fb
-    if lo is None:
+    else:
         raise LambdaSolveError(
             f"no sign change of the lambda condition in [-1, 0] (n={n}, t_z={t_z})"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if flo * fm <= 0.0:
-            hi = mid
+    # Illinois (modified regula falsi) on [b, a]: the end that survives two
+    # steps in a row has its residual halved, so both ends close in
+    best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    kept = 0  # +1 when a survived the last step, -1 when b did
+    for _ in range(_REFINE_MAX_ITER):
+        if f_best == 0.0 or a - b <= _REFINE_XTOL:
+            break
+        x = (a * fb - b * fa) / (fb - fa)
+        if not b < x < a:  # a - b > _REFINE_XTOL spans many ulps on [-1, 0]
+            x = 0.5 * (a + b)
+        fx = fn(x)
+        if abs(fx) < abs(f_best):
+            best, f_best = x, fx
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
         else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-14:
-            break
-    x0, x1 = lo, hi
-    f0, f1v = fn(x0), fn(x1)
-    for _ in range(60):
-        if f1v == f0:
-            break
-        x2 = x1 - f1v * (x1 - x0) / (f1v - f0)
-        if not -1.0 <= x2 <= 0.0:
-            break
-        x0, f0, x1, f1v = x1, f1v, x2, fn(x2)
-        if x1 == x0:
-            break
-    root = x1 if abs(fn(x1)) <= abs(fn(0.5 * (lo + hi))) else 0.5 * (lo + hi)
-    if abs(fn(root)) > LAMBDA_RESIDUAL_TOL:
+            b, fb = x, fx
+            if kept == +1:
+                fa *= 0.5
+            kept = +1
+    if abs(f_best) > LAMBDA_RESIDUAL_TOL:
         raise LambdaSolveError(
-            f"lambda root residual {fn(root):.3e} exceeds {LAMBDA_RESIDUAL_TOL} "
+            f"lambda root residual {f_best:.3e} exceeds {LAMBDA_RESIDUAL_TOL} "
             f"(n={n}, t_z={t_z})"
         )
-    return root
+    return best
 
 
 def solve_lambda(

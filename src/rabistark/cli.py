@@ -2,9 +2,10 @@
 structured CSV/JSON output.
 
 All couplings are entered in units of omega; --omega rescales the produced
-energies.  Sweep output is deterministic: records are assembled in grid
-order regardless of worker count and every float is written with 17
-significant digits, so identical invocations produce byte-identical files.
+energies.  Sweep output is deterministic: points are solved serially in
+grid order (--workers is accepted for compatibility and changes nothing)
+and every float is written with 17 significant digits, so identical
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 validation error, 3 solver failure (partial output
 flushed with an incompleteness trailer), 4 divergence-dominated sweep.
@@ -16,7 +17,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# sweeps run serially; ThreadPoolExecutor stays importable for perfbench/spans.py
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace as dc_replace
 
 from .analytic import (
@@ -259,30 +261,15 @@ def _sweep_point(spec: SweepSpec, axis: str, value: float):
     return rows, classification
 
 
-def _run_map(worker, items, workers: int):
-    """Order-preserving parallel map that reports the first failure."""
+def _run_map(worker, items):
+    """Results in grid order, stopping at the first failure (index, exc)."""
     results = [None] * len(items)
-    first_failure = None
-    if workers <= 1 or len(items) <= 1:
-        for i, item in enumerate(items):
-            try:
-                results[i] = worker(item)
-            except Exception as exc:  # noqa: BLE001 - converted to exit code
-                first_failure = (i, exc)
-                break
-        return results, first_failure
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, item) for item in items]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001
-                if first_failure is None:
-                    first_failure = (i, exc)
-        if first_failure is not None:
-            results = results[: first_failure[0]]
-            results.extend([None] * (len(items) - len(results)))
-    return results, first_failure
+    for i, item in enumerate(items):
+        try:
+            results[i] = worker(item)
+        except Exception as exc:  # noqa: BLE001 - converted to exit code
+            return results, (i, exc)
+    return results, None
 
 
 def run(spec: SweepSpec) -> int:
@@ -299,9 +286,7 @@ def run(spec: SweepSpec) -> int:
             axis = next(iter(spec.grids))
             values = grid_values(*spec.grids[axis])
             total_points = len(values)
-            out, failed = _run_map(
-                lambda v: _sweep_point(spec, axis, v), values, spec.workers
-            )
+            out, failed = _run_map(lambda v: _sweep_point(spec, axis, v), values)
             for res in out:
                 if res is None:
                     break
@@ -337,11 +322,7 @@ def run(spec: SweepSpec) -> int:
             u_grid = [v * spec.omega for v in grid_values(*spec.grids["u"])]
             total_points = len(g_grid) * len(u_grid)
             base = spec.params
-            out, failed = _run_map(
-                lambda u: error_map(base, g_grid, [u], tol=spec.tol),
-                u_grid,
-                spec.workers,
-            )
+            out, failed = _run_map(lambda u: error_map(base, g_grid, [u], tol=spec.tol), u_grid)
             for row in out:
                 if row is None:
                     break

@@ -5,8 +5,9 @@ Model spectra are solved on the two tridiagonal Z2 parity-sector chains
 until the tracked levels stop moving (Converged), the ground energy keeps
 dropping (UnboundedBelow) or the budget is exhausted (Undetermined).
 Converged spectra whose tracked levels sit inside a declared degeneracy
-window are sub-classified CollapsedDegenerate, which is the numerical
-signature of spectral collapse at u = 2 omega.
+window that holds two levels of one parity sector are sub-classified
+CollapsedDegenerate, the numerical signature of spectral collapse at
+u = 2 omega (a Z2 parity doublet has one level per sector).
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ class Spectrum:
     cutoff: int
     k_requested: int
     vectors: np.ndarray | None = field(default=None, repr=False)
+    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains
+    sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -146,9 +149,12 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     if not 1 <= k <= dim:
         raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
     m = min(k, cutoff + 1)
-    sectors = [eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), m) for p in (+1, -1)]
-    energies = np.sort(np.concatenate([s.energies for s in sectors]))[:k]
-    return Spectrum(energies=energies, cutoff=cutoff, k_requested=k)
+    plus, minus = (
+        eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), m).energies
+        for p in (+1, -1)
+    )
+    energies = np.sort(np.concatenate([plus, minus]))[:k]
+    return Spectrum(energies=energies, cutoff=cutoff, k_requested=k, sectors=(plus, minus))
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int):
@@ -170,8 +176,10 @@ def converged_spectrum(
 
     Classification rules, applied on the recorded history:
       Converged          max level drift over the last doubling <= tol
-      CollapsedDegenerate  Converged and spread of the k tracked levels
-                           below degeneracy_window
+      CollapsedDegenerate  Converged, spread of the k tracked levels
+                           below degeneracy_window, and some parity sector
+                           has two levels within degeneracy_window of the
+                           ground level
       UnboundedBelow     ground energy dropped by > 10 tol on each of the
                          last three doublings (early exit additionally
                          requires the drops not to be shrinking, which
@@ -197,10 +205,12 @@ def converged_spectrum(
             drift_rate = float(spec.energies[0] - prev[0])
             drops.append(prev[0] - spec.energies[0])
             if drift <= tol:
-                spread = float(spec.energies[-1] - spec.energies[0])
+                e0 = spec.energies[0]
+                spread = float(spec.energies[-1] - e0)
+                stacked = any(len(s) > 1 and s[1] - e0 <= degeneracy_window for s in spec.sectors)
                 classification = (
                     Classification.COLLAPSED_DEGENERATE
-                    if k >= 2 and spread <= degeneracy_window
+                    if spread <= degeneracy_window and stacked
                     else Classification.CONVERGED
                 )
                 break
@@ -220,15 +230,12 @@ def converged_spectrum(
             f"empty cutoff schedule: start_cutoff={start_cutoff} exceeds "
             f"max_cutoff={max_cutoff}"
         )
-    final_cutoff = history[-1][0]
-    spectrum = Spectrum(energies=history[-1][1], cutoff=final_cutoff, k_requested=k)
-
     report = ConvergenceReport(
         classification=classification,
-        final_cutoff=final_cutoff,
+        final_cutoff=spec.cutoff,
         history=history,
         tolerance=tol,
         drift_rate=drift_rate,
         degeneracy_window=degeneracy_window,
     )
-    return spectrum, report
+    return spec, report

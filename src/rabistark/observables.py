@@ -160,8 +160,11 @@ def staircase_scan(
     by at least 1/2.  Measures widths and plateau values, and fits the
     renormalized staircase midline slope by least squares.  The fit window
     starts one full step after the first edge; the fitted slope is NaN when
-    fewer than five midline points land in the window.
+    fewer than five midline points land in the window.  Points are solved
+    serially; workers (>= 1) is accepted for compatibility.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if params.variant is not Variant.COMPLETED:
         raise ValueError("staircase scan requires the completed model variant")
     if params.effective_kappa <= 0.0:
@@ -184,13 +187,7 @@ def staircase_scan(
             dc_replace(params, u=float(u)), tol, TAIL_TOL, start_cutoff, 32_768
         )
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, u_values))
-    else:
-        results = [point(u) for u in u_values]
+    results = [point(u) for u in u_values]
     nbar = np.array([r[0] for r in results])
     cutoffs = [r[1] for r in results]
 
@@ -282,7 +279,7 @@ def detect_level_crossings(
             raise DivergentSpectrumError(
                 f"sweep point {param_name} = {v} is unbounded from below"
             )
-        sectors.append([s.energies for s in _sectors(p, spec.cutoff, levels - 1)])
+        sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)
 
     events: list[CrossingEvent] = []

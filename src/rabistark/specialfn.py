@@ -5,11 +5,17 @@ extended precision (x86 80-bit long double) and rounded to double once at
 the end.  In the physical regime the argument is x = 4*lambda^2 with
 |lambda| <= 1, so neither overflow nor cancellation is a concern, but the
 recurrence itself is valid for any x >= 0 and degrees up to MAX_DEGREE.
+Where long double is no wider than double (MSVC, arm64 macOS) the
+polynomials refuse to run: float64 misses the 1e-12 oracle accuracy.
 """
+
+import math
 
 import numpy as np
 
 MAX_DEGREE = 10_000
+LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+EXTENDED_PRECISION = LONGDOUBLE_EPS < float(np.finfo(np.float64).eps)
 
 
 def _check_degree(n) -> int:
@@ -25,13 +31,18 @@ def _check_degree(n) -> int:
 
 def _check_argument(x) -> float:
     x = float(x)
-    if not np.isfinite(x) or x < 0.0:
+    if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"argument must be finite and >= 0, got {x}")
     return x
 
 
 def _genlaguerre(n: int, k: int, x: float) -> float:
     # forward recurrence for L_n^k, in long double
+    if not EXTENDED_PRECISION:
+        raise RuntimeError(
+            f"long double eps is {LONGDOUBLE_EPS:.3e}, no finer than double: the "
+            "Laguerre recurrence needs x86 80-bit extended precision"
+        )
     if n == 0:
         return 1.0
     xl = np.longdouble(x)
@@ -54,7 +65,7 @@ def assoc_laguerre1(n: int, x: float) -> float:
 
 def _check_shift(lam) -> float:
     lam = float(lam)
-    if not np.isfinite(lam) or abs(lam) > 1.0:
+    if not math.isfinite(lam) or abs(lam) > 1.0:
         raise ValueError(f"displacement parameter must satisfy |lambda| <= 1, got {lam}")
     return lam
 

@@ -3,6 +3,7 @@ and the ground-state error map."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from rabistark.analytic import (
     solve_branch,
     solve_lambda,
 )
+import rabistark.analytic as analytic
 from rabistark.eigen import converged_spectrum
 from rabistark.fockspace import ModelParams, Variant
 from rabistark.specialfn import f1
@@ -65,6 +67,79 @@ def test_solve_lambda_matches_bisection_oracle():
     oracle = bisect_oracle(lambda lam: lambda_condition_residual(p, 0, +1, lam), -1.0, 0.0)
     assert root == pytest.approx(oracle, abs=1e-12)
     assert abs(lambda_condition_residual(p, 0, +1, root)) <= 1e-12
+
+
+def mp_lambda_root(p: ModelParams, n: int, t_z: int):
+    """Root of the lambda condition in 30-digit arithmetic, in the first
+    sign-change interval of the solver's 1/256 grid scanned from 0."""
+    with mpmath.workdps(30):
+        omega, delta, g = (mpmath.mpf(v) for v in (p.omega, p.delta, p.g))
+        u, kappa = mpmath.mpf(p.effective_u), mpmath.mpf(p.effective_kappa)
+
+        def residual(lam):
+            env = mpmath.exp(-2 * lam**2)
+            g0 = mpmath.laguerre(n, 0, 4 * lam**2) * env
+            f1 = 2 * lam * mpmath.laguerre(n, 1, 4 * lam**2) * env / (n + 1)
+            return (
+                lam * omega + g - u * g0 * lam * t_z / 2
+                + f1 * (delta + u * lam**2 + u * n) / 2
+                + 2 * kappa * lam**3 + 2 * kappa * lam * n + kappa * lam * t_z
+            )
+
+        hi, f_hi = mpmath.mpf(0), residual(mpmath.mpf(0))
+        for i in range(1, 257):
+            lo = mpmath.mpf(-i) / 256
+            f_lo = residual(lo)
+            if f_lo * f_hi <= 0:
+                return float(mpmath.findroot(residual, (lo, hi), solver="anderson"))
+            hi, f_hi = lo, f_lo
+    raise AssertionError("no sign change on the grid")
+
+
+@given(
+    delta=st.floats(min_value=0.5, max_value=200.0),
+    g=st.floats(min_value=1e-3, max_value=0.5),
+    u=st.floats(min_value=0.0, max_value=1.9),
+    kappa=st.floats(min_value=0.0, max_value=0.1),
+    n=st.integers(min_value=0, max_value=30),
+    t_z=st.sampled_from([+1, -1]),
+    mode=st.sampled_from([LambdaMode.FULL, LambdaMode.COMPLETED_FULL]),
+)
+@settings(max_examples=50, deadline=None)
+def test_solve_lambda_matches_mpmath_root(delta, g, u, kappa, n, t_z, mode):
+    variant = Variant.COMPLETED if mode is LambdaMode.COMPLETED_FULL else STARK
+    p = ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
+    lam = solve_lambda(p, n, t_z, mode=mode)
+    assert abs(lam - mp_lambda_root(p, n, t_z)) <= 1e-14
+    assert abs(lambda_condition_residual(p, n, t_z, lam)) <= 1e-12
+
+
+def test_lambda_solve_work_per_branch(monkeypatch):
+    # the spectrum sweep's ladder (Rabi-Stark, g = 0.2, u = 0 .. 1.98) costs
+    # about 17 residual evaluations per lambda: the grid scan plus a short
+    # Illinois refinement, not a bisection down to 1e-14
+    counts = {"solves": 0, "residuals": 0}
+    inside = []
+    real_solve, real_g0 = analytic.solve_lambda, analytic.g0
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        inside.append(True)
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_g0(n, lam):
+        counts["residuals"] += bool(inside)
+        return real_g0(n, lam)
+
+    monkeypatch.setattr(analytic, "solve_lambda", counting_solve)
+    monkeypatch.setattr(analytic, "g0", counting_g0)
+    for i in range(100):
+        analytic_level_ladder(ModelParams(delta=1.0, g=0.2, u=0.02 * i, variant=STARK), 17)
+    assert counts["solves"] == 100 * 37
+    assert counts["residuals"] / counts["solves"] <= 25
 
 
 def test_solve_lambda_zero_coupling_every_mode():

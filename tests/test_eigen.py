@@ -13,6 +13,7 @@ from rabistark.eigen import (
     Classification,
     converged_spectrum,
     eigen_symmetric,
+    spectrum_at_cutoff,
 )
 from rabistark.fockspace import ModelParams, Variant, build_hamiltonian
 
@@ -124,6 +125,34 @@ def test_undetermined_when_budget_too_small():
     p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=Variant.RABI_STARK)
     spec, report = converged_spectrum(p, 4, tol=1e-12, max_cutoff=128)
     assert report.classification is Classification.UNDETERMINED
+
+
+def test_parity_doublet_is_not_collapse():
+    # the Rabi model's Z2 doublet has one level per parity sector and closes
+    # exponentially in g; collapse stacks many levels inside each sector
+    for g in (1.55, 2.0, 2.5):
+        p = ModelParams(delta=1.0, g=g, variant=Variant.RABI)
+        spec, report = converged_spectrum(p, 2)
+        assert spec.energies[1] - spec.energies[0] <= report.degeneracy_window
+        assert report.classification is Classification.CONVERGED
+    p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=Variant.RABI_STARK)
+    _, report = converged_spectrum(p, 10, tol=1e-6, degeneracy_window=1e-2)
+    assert report.classification is Classification.COLLAPSED_DEGENERATE
+
+
+def test_spectrum_keeps_its_sector_levels():
+    p = ModelParams(delta=1.0, g=0.4, u=1.2, variant=Variant.RABI_STARK)
+    spec = spectrum_at_cutoff(p, 20, 7)
+    plus, minus = spec.sectors
+    assert len(plus) == len(minus) == 7
+    assert np.array_equal(spec.energies, np.sort(np.concatenate(spec.sectors))[:7])
+    for parity, levels in ((+1, plus), (-1, minus)):
+        h = build_hamiltonian(p, 20, parity=parity)
+        assert np.array_equal(levels, eigen_symmetric(h, 7).energies)
+    converged, report = converged_spectrum(p, 7)
+    assert converged.cutoff == report.final_cutoff
+    assert np.array_equal(converged.energies, report.history[-1][1])
+    assert converged.sectors is not None
 
 
 def test_variational_monotonicity_across_histories():

@@ -6,6 +6,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+import rabistark.observables as observables
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
 from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant
@@ -70,6 +71,10 @@ def test_staircase_preconditions():
         staircase_scan(
             ModelParams(delta=1.0, g=0.1, kappa=0.05, variant=CO), [2.0, 2.1]
         )
+    with pytest.raises(ValueError, match="workers"):
+        staircase_scan(
+            ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO), [2.0, 2.02], workers=0
+        )
 
 
 def test_staircase_resolution_guard():
@@ -122,6 +127,17 @@ def test_crossing_detector_validates_input():
         detect_level_crossings(p, "u", [0.3, 0.2, 0.1], 2)
     with pytest.raises(ValueError):  # g = 0: diagonal chains, degenerate sectors
         detect_level_crossings(dc_replace(p, g=0.0), "u", [0.1, 0.2, 0.3], 2)
+
+
+def test_crossing_scan_reuses_the_converged_sector_levels(monkeypatch):
+    # sweep points read the sector levels converged_spectrum already solved;
+    # only a bracketed crossing solves the chains again
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector chains solved again")
+
+    monkeypatch.setattr(observables, "_sectors", refuse)
+    p = ModelParams(delta=1.0, variant=Variant.RABI)
+    assert detect_level_crossings(p, "g", np.arange(0.05, 1.01, 0.05), levels=2) == []
 
 
 def test_completed_first_crossing_after_original_critical_point():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import rabistark.specialfn as specialfn
 from rabistark.specialfn import assoc_laguerre1, f1, g0, laguerre
 
 X_GRID = [0.0, 0.01, 0.1, 1.0, 4.0]
@@ -90,6 +91,30 @@ def test_kernel_shift_domain():
         g0(1, 1.5)
     with pytest.raises(ValueError):
         f1(1, -1.0001)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            g0(1, bad)
+        with pytest.raises(ValueError):
+            f1(1, bad)
+
+
+def test_recurrence_refuses_without_extended_precision(monkeypatch):
+    # where long double is plain double (MSVC, arm64 macOS) the float64
+    # recurrence would miss the 1e-12 oracle gate, so it must not run
+    monkeypatch.setattr(specialfn, "EXTENDED_PRECISION", False)
+    monkeypatch.setattr(specialfn, "LONGDOUBLE_EPS", 2.220446049250313e-16)
+    for fn in (laguerre, assoc_laguerre1):
+        with pytest.raises(RuntimeError, match="2.220e-16"):
+            fn(3, 0.5)
+    with pytest.raises(RuntimeError):
+        g0(2, 0.1)
+
+
+def test_extended_precision_flag_reads_longdouble():
+    assert specialfn.LONGDOUBLE_EPS == float(np.finfo(np.longdouble).eps)
+    assert specialfn.EXTENDED_PRECISION == (
+        np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    )
 
 
 def _ladder(dim):
