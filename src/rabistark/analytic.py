@@ -29,6 +29,7 @@ _BRACKET_STEPS = 256
 _REFINE_XTOL = 1e-15
 _REFINE_MAX_ITER = 100
 _FIXED_POINT_MAX_ITER = 1000
+_ERROR_MAP_BLOCKS = 8
 
 
 class LambdaSolveError(RuntimeError):
@@ -89,8 +90,45 @@ def lambda_condition_residual(params: ModelParams, n: int, t_z: int, lam: float)
     )
 
 
+def refine_bracket(fn, lo, f_lo, hi, f_hi, xtol) -> tuple[float, float]:
+    """Root of fn in [lo, hi], given f_lo = fn(lo) and f_hi = fn(hi) of
+    opposite signs (or one of them zero).
+
+    Safeguarded Illinois (modified regula falsi; Dowell & Jarratt, BIT 11,
+    168 (1971)): the end that survives two steps in a row has its value
+    halved, so both ends close in; a step that leaves the bracket falls
+    back to the midpoint.  Stops at hi - lo <= xtol, at an exact zero, or
+    when the midpoint no longer splits the bracket (float spacing).
+    Returns the iterate with the smallest |fn| and that value.
+    """
+    best, f_best = (hi, f_hi) if abs(f_hi) < abs(f_lo) else (lo, f_lo)
+    kept = 0  # +1 when hi survived the last step, -1 when lo did
+    for _ in range(_REFINE_MAX_ITER):
+        if f_best == 0.0 or hi - lo <= xtol:
+            break
+        x = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        if not lo < x < hi:
+            x = 0.5 * (hi + lo)
+            if not lo < x < hi:
+                break
+        fx = fn(x)
+        if abs(fx) < abs(f_best):
+            best, f_best = x, fx
+        if (fx > 0.0) == (f_hi > 0.0):
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        else:
+            lo, f_lo = x, fx
+            if kept == +1:
+                f_hi *= 0.5
+            kept = +1
+    return best, f_best
+
+
 def _solve_bracketed(fn, n, t_z) -> float:
-    # first sign change scanning from 0 toward -1, then safeguarded Illinois
+    # first sign change scanning from 0 toward -1, then Illinois on [b, a]
     a, fa = 0.0, fn(0.0)
     if fa == 0.0:
         return 0.0
@@ -104,29 +142,7 @@ def _solve_bracketed(fn, n, t_z) -> float:
         raise LambdaSolveError(
             f"no sign change of the lambda condition in [-1, 0] (n={n}, t_z={t_z})"
         )
-    # Illinois (modified regula falsi) on [b, a]: the end that survives two
-    # steps in a row has its residual halved, so both ends close in
-    best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    kept = 0  # +1 when a survived the last step, -1 when b did
-    for _ in range(_REFINE_MAX_ITER):
-        if f_best == 0.0 or a - b <= _REFINE_XTOL:
-            break
-        x = (a * fb - b * fa) / (fb - fa)
-        if not b < x < a:  # a - b > _REFINE_XTOL spans many ulps on [-1, 0]
-            x = 0.5 * (a + b)
-        fx = fn(x)
-        if abs(fx) < abs(f_best):
-            best, f_best = x, fx
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
-            if kept == -1:
-                fb *= 0.5
-            kept = -1
-        else:
-            b, fb = x, fx
-            if kept == +1:
-                fa *= 0.5
-            kept = +1
+    best, f_best = refine_bracket(fn, b, fb, a, fa, _REFINE_XTOL)
     if abs(f_best) > LAMBDA_RESIDUAL_TOL:
         raise LambdaSolveError(
             f"lambda root residual {f_best:.3e} exceeds {LAMBDA_RESIDUAL_TOL} "
@@ -314,10 +330,8 @@ class AnalyticSpectrum:
     failures: list[tuple[int, int, str]]
 
 
-def solve_branch(
-    params: ModelParams, n: int, t_z: int, mode: LambdaMode | None = None
-) -> AnalyticBranch:
-    lam = solve_lambda(params, n, t_z, mode=mode)
+def solve_branch(params: ModelParams, n: int, t_z: int) -> AnalyticBranch:
+    lam = solve_lambda(params, n, t_z)
     block = jc_block(params, n, lam)
     (e_lo, v_lo), (e_hi, v_hi) = block_eigenpairs(block)
     return AnalyticBranch(
@@ -404,10 +418,10 @@ class ErrorMapPoint:
     crossing: bool
 
 
-def _analytic_ground_candidates(params: ModelParams, n_blocks: int):
+def _analytic_ground_candidates(params: ModelParams):
     e0 = analytic_ground_energy(params)
     block_min = np.inf
-    for n in range(n_blocks):
+    for n in range(_ERROR_MAP_BLOCKS):
         try:
             br = solve_branch(params, n, -1)
         except (LambdaSolveError, RegimeViolationError):
@@ -420,17 +434,17 @@ def error_map(
     params_base: ModelParams,
     g_grid,
     u_grid,
-    n_blocks: int = 8,
     tol: float = 1e-8,
     max_cutoff: int = 4096,
 ) -> list[ErrorMapPoint]:
     """Ground-state error of the analytic solution over a (g, u) grid.
 
     The analytic candidate is the displaced-vacuum energy in region I and
-    the minimum block eigenvalue in region II; the region boundary (where
-    the two candidates cross along g) is flagged.  Per-point failures are
-    recorded as NaN entries rather than aborting the sweep; e_numeric and
-    delta_e are NaN unless the numeric spectrum converged within max_cutoff.
+    the minimum eigenvalue of the t_z = -1 blocks n < 8 in region II; the
+    region boundary (where the two candidates cross along g) is flagged.
+    Per-point failures are recorded as NaN entries rather than aborting the
+    sweep; e_numeric and delta_e are NaN unless the numeric spectrum
+    converged within max_cutoff.
     """
     g_grid = [float(g) for g in g_grid]
     u_grid = [float(u) for u in u_grid]
@@ -440,7 +454,7 @@ def error_map(
         for g in g_grid:
             p = replace(params_base, g=g, u=u)
             try:
-                e0, block_min = _analytic_ground_candidates(p, n_blocks)
+                e0, block_min = _analytic_ground_candidates(p)
                 spec, report = converged_spectrum(p, 1, tol=tol, max_cutoff=max_cutoff)
                 settled = report.classification in (
                     Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE

@@ -7,12 +7,14 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
+from .analytic import refine_bracket
 from .colimit import check_co_regime
-from .eigen import Classification, Spectrum, converged_spectrum, eigen_symmetric
+from .eigen import Classification, converged_spectrum, eigen_symmetric, spectrum_at_cutoff
 from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
 CROSSING_XTOL = 1e-12
+MIN_POINTS_PER_STEP = 3
 
 
 class DivergentSpectrumError(RuntimeError):
@@ -38,52 +40,35 @@ def initial_cutoff(params: ModelParams) -> int:
     return 32
 
 
-def _sectors(params: ModelParams, cutoff: int, k: int, want_vectors=False) -> list[Spectrum]:
-    """Lowest min(k, cutoff + 1) eigenpairs of the parity +1 and -1 chains."""
-    k = min(k, cutoff + 1)
-    return [
-        eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), k, want_vectors)
-        for p in (+1, -1)
-    ]
-
-
 def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, float]:
     """Root of E+_a - E-_b in [lo, hi] along parameter name, at a fixed cutoff.
 
     A chain with g > 0 has a simple spectrum, so every true level crossing
-    is one between the two sectors.  Bisects to |dx| < CROSSING_XTOL (or to
-    float spacing) and returns the position with |E+_a - E-_b| there;
+    is one between the two sectors.  Refines the bracket with the lambda
+    solver's Illinois iteration (refine_bracket) to |dx| <= CROSSING_XTOL
+    or float spacing and returns the best iterate with |E+_a - E-_b| there;
     raises ValueError when the bracket holds no sign change.
     """
 
     def diff(x):
-        plus, minus = _sectors(dc_replace(params, **{name: x}), cutoff, max(a, b) + 1)
-        return float(plus.energies[a] - minus.energies[b])
+        p = dc_replace(params, **{name: x})
+        plus, minus = spectrum_at_cutoff(p, cutoff, max(a, b) + 1).sectors
+        return float(plus[a] - minus[b])
 
     lo, hi = float(lo), float(hi)
-    above_lo = diff(lo) > 0.0
-    if above_lo == (diff(hi) > 0.0):
+    f_lo, f_hi = diff(lo), diff(hi)
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"E+_{a} - E-_{b} does not change sign for {name} in [{lo}, {hi}]")
-    mid = 0.5 * (lo + hi)
-    while hi - lo >= CROSSING_XTOL and lo < mid < hi:
-        if (diff(mid) > 0.0) == above_lo:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid, abs(diff(mid))
+    x, fx = refine_bracket(diff, lo, f_lo, hi, f_hi, CROSSING_XTOL)
+    return x, abs(fx)
 
 
 def _mean_photon_detail(
-    params: ModelParams,
-    tol: float,
-    tail_tol: float,
-    start_cutoff: int | None,
-    max_cutoff: int,
+    params: ModelParams, tol: float, start_cutoff: int | None, max_cutoff: int
 ) -> tuple[float, int]:
     if start_cutoff is None:
         start_cutoff = initial_cutoff(params)
-    _, report = converged_spectrum(
+    spec, report = converged_spectrum(
         params, k=1, tol=tol, max_cutoff=max_cutoff, start_cutoff=start_cutoff
     )
     if report.classification is Classification.UNBOUNDED_BELOW:
@@ -97,37 +82,34 @@ def _mean_photon_detail(
             f"spectrum did not converge within max_cutoff = {max_cutoff}"
         )
 
-    cutoff = report.final_cutoff
+    # the ground state lives in the sector chain with the lower ground level
+    # (+1 on a tie), and chain site n carries n photons
+    plus, minus = spec.sectors
+    parity = +1 if plus[0] <= minus[0] else -1
+    cutoff = spec.cutoff
     while True:
-        # the ground state is the lower of the two sector ground states, and
-        # chain site n carries n photons
-        sectors = _sectors(params, cutoff, 1, want_vectors=True)
-        ground = min(sectors, key=lambda s: s.energies[0])
-        occ = ground.vectors[:, 0] ** 2
-        if occ[-2:].sum() < tail_tol:  # top two Fock levels
+        h = build_hamiltonian(params, cutoff, parity=parity)
+        occ = eigen_symmetric(h, 1, want_vectors=True).vectors[:, 0] ** 2
+        if occ[-2:].sum() < TAIL_TOL:  # top two Fock levels
             return float(occ @ np.arange(cutoff + 1)), cutoff
         cutoff *= 2
         if cutoff > max_cutoff:
             raise DivergentSpectrumError(
-                f"Fock tail does not fall below {tail_tol} within cutoff {max_cutoff}"
+                f"Fock tail does not fall below {TAIL_TOL} within cutoff {max_cutoff}"
             )
 
 
 def mean_photon_ground(
-    params: ModelParams,
-    tol: float = 1e-8,
-    tail_tol: float = TAIL_TOL,
-    start_cutoff: int | None = None,
-    max_cutoff: int = 32_768,
+    params: ModelParams, tol: float = 1e-8, max_cutoff: int = 32_768
 ) -> float:
     """<a^dag a> in the converged ground state.
 
     The cutoff is raised until the spectrum classifies Converged and the
-    occupation of the top two Fock levels falls below tail_tol.  Refuses
+    occupation of the top two Fock levels falls below TAIL_TOL.  Refuses
     with a divergence diagnostic when the spectrum is unbounded below
     (original model past the collapse point).
     """
-    value, _ = _mean_photon_detail(params, tol, tail_tol, start_cutoff, max_cutoff)
+    value, _ = _mean_photon_detail(params, tol, None, max_cutoff)
     return value
 
 
@@ -149,7 +131,6 @@ def staircase_scan(
     u_values,
     tol: float = 1e-8,
     allow_small_ratio: bool = False,
-    min_points_per_step: int = 3,
     workers: int = 1,
     start_cutoff: int | None = None,
 ) -> StaircaseReport:
@@ -157,8 +138,10 @@ def staircase_scan(
 
     Step edges are the ground-state crossings of the two parity sectors
     (E+_0 = E-_0) inside grid intervals where the mean photon number jumps
-    by at least 1/2.  Measures widths and plateau values, and fits the
-    renormalized staircase midline slope by least squares.  The fit window
+    by at least 1/2, refined like every crossing (_sector_crossing); the
+    grid must hold MIN_POINTS_PER_STEP points per expected width 4 kappa.
+    Measures widths and plateau values, and fits the renormalized
+    staircase midline slope by least squares.  The fit window
     starts one full step after the first edge; the fitted slope is NaN when
     fewer than five midline points land in the window.  Points are solved
     serially; workers (>= 1) is accepted for compatibility.
@@ -176,16 +159,14 @@ def staircase_scan(
         raise ValueError("u grid must be strictly increasing with >= 2 points")
     step = float(np.max(np.diff(u_values)))
     expected_width = 4.0 * params.effective_kappa
-    if expected_width / step < min_points_per_step:
+    if expected_width / step < MIN_POINTS_PER_STEP:
         raise ResolutionError(
-            f"grid step {step:.3g} resolves fewer than {min_points_per_step} points "
+            f"grid step {step:.3g} resolves fewer than {MIN_POINTS_PER_STEP} points "
             f"per expected step width 4 kappa = {expected_width:.3g}"
         )
 
     def point(u):
-        return _mean_photon_detail(
-            dc_replace(params, u=float(u)), tol, TAIL_TOL, start_cutoff, 32_768
-        )
+        return _mean_photon_detail(dc_replace(params, u=float(u)), tol, start_cutoff, 32_768)
 
     results = [point(u) for u in u_values]
     nbar = np.array([r[0] for r in results])
@@ -247,17 +228,14 @@ class CrossingEvent:
 
 
 def detect_level_crossings(
-    params: ModelParams,
-    param_name: str,
-    values,
-    levels: int,
-    tol: float = 1e-8,
+    params: ModelParams, param_name: str, values, levels: int
 ) -> list[CrossingEvent]:
     """True level crossings among the lowest `levels` levels along a sweep.
 
     A crossing is a sign change of E+_a - E-_b (sector levels a and b,
-    a + b + 1 < levels) between neighbouring converged sweep points.  It is
-    bisected at the larger of the two points' cutoffs and reported as the
+    a + b + 1 < levels) between neighbouring sweep points converged to
+    eigen.DEFAULT_TOL.  It is refined by the lambda solver's Illinois
+    iteration at the larger of the two points' cutoffs and reported as the
     merged pair (a + b, a + b + 1) with gap |E+_a - E-_b|.  Requires g > 0
     at every point: with g = 0 the chains are diagonal and may be degenerate.
     """
@@ -274,7 +252,7 @@ def detect_level_crossings(
     sectors, cutoffs = [], []
     for v in values:
         p = dc_replace(params, **{param_name: float(v)})
-        spec, report = converged_spectrum(p, k=levels, tol=tol)
+        spec, report = converged_spectrum(p, k=levels)
         if report.classification is Classification.UNBOUNDED_BELOW:
             raise DivergentSpectrumError(
                 f"sweep point {param_name} = {v} is unbounded from below"

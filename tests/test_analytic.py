@@ -142,6 +142,24 @@ def test_lambda_solve_work_per_branch(monkeypatch):
     assert counts["residuals"] / counts["solves"] <= 25
 
 
+def test_refine_bracket_stops_at_float_spacing():
+    # near 1e5 neighbouring doubles are 1.5e-11 apart, so xtol = 1e-12 can
+    # never be met; the root 1e5 + 1/3 is not a double and fn is never 0,
+    # so only the float-spacing stop ends the iteration
+    root = 1e5 + 1.0 / 3.0
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return math.tanh(3.0 * (x - 1e5) - 1.0)
+
+    lo, hi = 1e5, 1e5 + 1.0
+    x, fx = analytic.refine_bracket(fn, lo, fn(lo), hi, fn(hi), 1e-12)
+    assert abs(x - root) <= math.ulp(root)
+    assert fx != 0.0 and abs(fx) <= 1e-10
+    assert len(calls) <= analytic._REFINE_MAX_ITER // 4
+
+
 def test_solve_lambda_zero_coupling_every_mode():
     p = ModelParams(delta=1.0, g=0.0, u=1.0, kappa=0.1, variant=Variant.COMPLETED)
     for mode in LambdaMode:

@@ -6,9 +6,11 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+import rabistark.eigen as eigen
 import rabistark.observables as observables
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
+from rabistark.eigen import converged_spectrum, spectrum_at_cutoff
 from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant
 from rabistark.observables import (
     DivergentSpectrumError,
@@ -135,9 +137,117 @@ def test_crossing_scan_reuses_the_converged_sector_levels(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sector chains solved again")
 
-    monkeypatch.setattr(observables, "_sectors", refuse)
+    monkeypatch.setattr(observables, "spectrum_at_cutoff", refuse)
     p = ModelParams(delta=1.0, variant=Variant.RABI)
     assert detect_level_crossings(p, "g", np.arange(0.05, 1.01, 0.05), levels=2) == []
+
+
+@pytest.fixture
+def chain_solves(monkeypatch):
+    """Log of (cutoff, want_vectors) for every sector-chain solve."""
+    log, real = [], eigen.eigen_symmetric
+
+    def counting(h, k, want_vectors=False):
+        log.append((h.cutoff, want_vectors))
+        return real(h, k, want_vectors)
+
+    monkeypatch.setattr(eigen, "eigen_symmetric", counting)
+    monkeypatch.setattr(observables, "eigen_symmetric", counting)
+    return log
+
+
+def test_refined_crossing_costs_few_chain_solves(monkeypatch, chain_solves):
+    # each crossing or edge is refined by the Illinois iteration on
+    # E+_a - E-_b: two endpoint evaluations plus a few steps, two chain
+    # solves per evaluation (a bisection to 1e-12 needs 64-78)
+    costs, real = [], observables._sector_crossing
+
+    def measured(*args, **kwargs):
+        start = len(chain_solves)
+        out = real(*args, **kwargs)
+        costs.append(len(chain_solves) - start)
+        return out
+
+    monkeypatch.setattr(observables, "_sector_crossing", measured)
+    p = ModelParams(delta=1.0, g=0.2, u=0.0, kappa=0.01, variant=CO)
+    events = detect_level_crossings(p, "u", np.arange(1.85, 2.3001, 0.01), levels=2)
+    assert len(events) == len(costs) == 5
+    report = staircase_scan(
+        ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO), np.arange(1.95, 2.56, 0.02)
+    )
+    assert len(costs) == 5 + len(report.edges) > 5
+    assert max(costs) <= 24
+
+
+def test_mean_photon_solves_one_chain_with_vectors_per_tail_cutoff(monkeypatch, chain_solves):
+    # the ground chain is picked from the converged sector levels; only it
+    # is solved again, with vectors, at each cutoff of the tail check
+    p = ModelParams(delta=200.0, g=0.1, u=2.15, kappa=0.05, variant=CO)
+    mean_photon_ground(p)
+    [(cutoff, _)] = [c for c in chain_solves if c[1]]
+    chain_solves.clear()
+    monkeypatch.setattr(observables, "TAIL_TOL", 0.0)  # force the tail doubling
+    with pytest.raises(DivergentSpectrumError):
+        mean_photon_ground(p, max_cutoff=4 * cutoff)
+    assert [c for c in chain_solves if c[1]] == [(m * cutoff, True) for m in (1, 2, 4)]
+
+
+def _sector_gap(p, name, x, cutoff, a, b):
+    plus, minus = spectrum_at_cutoff(dc_replace(p, **{name: x}), cutoff, max(a, b) + 1).sectors
+    return plus[a] - minus[b]
+
+
+def _bisect_sector_root(p, name, lo, hi, cutoff, a, b):
+    """E+_a - E-_b = 0 by plain bisection to 1e-14 or float spacing."""
+    above_lo = _sector_gap(p, name, lo, cutoff, a, b) > 0.0
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-14 and lo < mid < hi:
+        above_mid = _sector_gap(p, name, mid, cutoff, a, b) > 0.0
+        lo, hi = (mid, hi) if above_mid == above_lo else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize(
+    "params, name, grid, levels",
+    [
+        (ModelParams(delta=1.0, g=0.2, kappa=0.01, variant=CO), "u",
+         np.arange(1.85, 2.3001, 0.01), 2),
+        (ModelParams(delta=1.0, g=0.2, variant=STARK), "u", np.arange(1.85, 1.9951, 0.005), 6),
+        (ModelParams(delta=1.0, variant=Variant.RABI), "g", np.arange(0.05, 1.01, 0.05), 6),
+    ],
+)
+def test_crossings_match_an_independent_bisection(params, name, grid, levels):
+    events = detect_level_crossings(params, name, grid, levels)
+    assert events
+    for ev in events:
+        i = int(np.searchsorted(grid, ev.value)) - 1
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        cutoff = max(
+            converged_spectrum(dc_replace(params, **{name: v}), levels)[0].cutoff
+            for v in (lo, hi)
+        )
+        # every sector pair (a, b) with a + b = pair[0] that changes sign
+        splits = [(a, ev.pair[0] - a) for a in range(ev.pair[0] + 1)]
+        roots = [
+            _bisect_sector_root(params, name, lo, hi, cutoff, a, b)
+            for a, b in splits
+            if (_sector_gap(params, name, lo, cutoff, a, b) > 0.0)
+            != (_sector_gap(params, name, hi, cutoff, a, b) > 0.0)
+        ]
+        assert min(abs(r - ev.value) for r in roots) <= 1e-11
+
+
+def test_staircase_edges_match_an_independent_bisection():
+    p = ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO)
+    grid = np.arange(1.95, 2.56, 0.02)
+    report = staircase_scan(p, grid)
+    assert len(report.edges) >= 2
+    for edge in report.edges:
+        i = int(np.searchsorted(grid, edge)) - 1
+        cutoff = max(report.cutoffs[i : i + 2])
+        root = _bisect_sector_root(p, "u", float(grid[i]), float(grid[i + 1]), cutoff, 0, 0)
+        assert abs(edge - root) <= 1e-11
 
 
 def test_completed_first_crossing_after_original_critical_point():
