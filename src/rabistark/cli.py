@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace as dc_replace
 from .analytic import (
     LambdaSolveError,
     RegimeViolationError,
-    analytic_level_ladder,
+    analytic_ladders,
     error_map,
 )
 from .colimit import CoRegimeError, crossing_ladder
@@ -239,10 +239,10 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValidationFailure(f"output path not writable: {exc}") from None
 
 
-def _sweep_point(spec: SweepSpec, axis: str, value: float):
-    """Records for one grid point of a spectrum scan (value in omega units)."""
+def _numeric_point(spec: SweepSpec, axis: str, value: float):
+    """Parameters, numeric records and classification of one grid point of
+    a spectrum scan (value in omega units)."""
     p = dc_replace(spec.params, **{axis: value * spec.omega})
-    rows = []
     if spec.cutoff is not None:
         s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
         cutoff_used, classification = spec.cutoff, Classification.UNDETERMINED.value
@@ -251,14 +251,11 @@ def _sweep_point(spec: SweepSpec, axis: str, value: float):
             p, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
         )
         cutoff_used, classification = report.final_cutoff, report.classification.value
-    for j, energy in enumerate(s.energies):
-        rows.append([value, j, float(energy), "numeric", cutoff_used, classification])
-    try:
-        for idx, label, energy in analytic_level_ladder(p, spec.levels // 2 + 2):
-            rows.append([value, idx, float(energy), label, "", ""])
-    except (LambdaSolveError, RegimeViolationError):
-        pass  # analytic reduction unavailable at this point; numeric rows stand
-    return rows, classification
+    rows = [
+        [value, j, float(energy), "numeric", cutoff_used, classification]
+        for j, energy in enumerate(s.energies)
+    ]
+    return p, rows, classification
 
 
 def _run_map(worker, items):
@@ -286,12 +283,21 @@ def run(spec: SweepSpec) -> int:
             axis = next(iter(spec.grids))
             values = grid_values(*spec.grids[axis])
             total_points = len(values)
-            out, failed = _run_map(lambda v: _sweep_point(spec, axis, v), values)
-            for res in out:
-                if res is None:
-                    break
-                rows, classification = res
+            out, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
+            done = out[: failed[0]] if failed is not None else out
+            ladders = []
+            if done:
+                # the analytic ladders of all solved points form one lambda batch
+                try:
+                    ladders = analytic_ladders([p for p, _, _ in done], spec.levels // 2 + 2)
+                except Exception as exc:  # noqa: BLE001 - fails the first point, as per point
+                    done, failed = [], (0, exc)
+            for value, (_, rows, classification), ladder in zip(values, done, ladders):
                 records.extend(rows)
+                # analytic reduction unavailable at this point: numeric rows stand
+                if not isinstance(ladder, LambdaSolveError):
+                    for idx, label, energy in ladder:
+                        records.append([value, idx, float(energy), label, "", ""])
                 if classification == Classification.UNBOUNDED_BELOW.value:
                     divergent += 1
             if failed is not None:

@@ -59,8 +59,10 @@ def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, flo
     f_lo, f_hi = diff(lo), diff(hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"E+_{a} - E-_{b} does not change sign for {name} in [{lo}, {hi}]")
-    x, fx = refine_bracket(diff, lo, f_lo, hi, f_hi, CROSSING_XTOL)
-    return x, abs(fx)
+    x, fx = refine_bracket(
+        lambda _, xs: [diff(v) for v in xs.tolist()], [lo], [f_lo], [hi], [f_hi], CROSSING_XTOL
+    )
+    return float(x[0]), abs(float(fx[0]))
 
 
 def _mean_photon_detail(

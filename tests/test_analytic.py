@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabistark.analytic import (
@@ -14,7 +14,9 @@ from rabistark.analytic import (
     LambdaSolveError,
     RegimeViolationError,
     analytic_ground_energy,
+    analytic_ladders,
     analytic_level_ladder,
+    analytic_spectra,
     analytic_spectrum,
     block_eigenpairs,
     error_map,
@@ -115,31 +117,123 @@ def test_solve_lambda_matches_mpmath_root(delta, g, u, kappa, n, t_z, mode):
 
 
 def test_lambda_solve_work_per_branch(monkeypatch):
-    # the spectrum sweep's ladder (Rabi-Stark, g = 0.2, u = 0 .. 1.98) costs
-    # about 17 residual evaluations per lambda: the grid scan plus a short
-    # Illinois refinement, not a bisection down to 1e-14
-    counts = {"solves": 0, "residuals": 0}
-    inside = []
-    real_solve, real_g0 = analytic.solve_lambda, analytic.g0
+    # the spectrum sweep's ladders (Rabi-Stark, g = 0.2, u = 0 .. 1.98) in one
+    # batch, as the CLI solves them, cost about 17 residual lane-evaluations
+    # per lambda: the grid scan plus a short Illinois refinement, not a
+    # bisection down to 1e-14.  The ground energy reuses the (0, -1) lane, so
+    # 100 points solve 36 lambdas each, not 37
+    counts = {"lanes": 0, "residuals": 0}
+    real_solve, real_residual = analytic._solve_lambdas, analytic._residual
 
-    def counting_solve(*args, **kwargs):
-        counts["solves"] += 1
-        inside.append(True)
+    def counting_solve(lanes):
+        counts["lanes"] += lanes.n.size
+        return real_solve(lanes)
+
+    def counting_residual(lanes, lam):
+        counts["residuals"] += lam.size
+        return real_residual(lanes, lam)
+
+    monkeypatch.setattr(analytic, "_solve_lambdas", counting_solve)
+    monkeypatch.setattr(analytic, "_residual", counting_residual)
+    points = [ModelParams(delta=1.0, g=0.2, u=0.02 * i, variant=STARK) for i in range(100)]
+    spectra = analytic.analytic_spectra(points, 17)
+    assert all(not spec.failures for spec in spectra)
+    assert counts["lanes"] == 100 * 36
+    assert counts["residuals"] / counts["lanes"] <= 25
+
+
+def test_branch_residual_is_the_one_its_solve_ended_on(monkeypatch):
+    # solving spectra evaluates no residual after the lambda solve, yet the
+    # residual a branch reports equals a fresh evaluation bit for bit
+    points = [
+        ModelParams(delta=1.0, g=0.2, u=0.1 * i, kappa=kappa, variant=variant)
+        for i in range(20)
+        for variant, kappa in ((STARK, 0.0), (Variant.COMPLETED, 0.05))
+    ]
+
+    def refuse(*args):
+        raise AssertionError("residual evaluated again after the solve")
+
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "lambda_condition_residual", refuse)
+        spectra = analytic_spectra(points, 8)
+    for p, spec in zip(points, spectra):
+        for br in spec.branches:
+            fresh = lambda_condition_residual(p, br.n, br.t_z, br.lam)
+            assert float.hex(br.residual) == float.hex(fresh)
+
+
+def _batch_points(draws):
+    return [
+        ModelParams(delta=delta, g=g, u=u, kappa=0.05 if completed else 0.0,
+                    variant=Variant.COMPLETED if completed else STARK)
+        for delta, g, u, completed in draws
+    ]
+
+
+@given(
+    draws=st.lists(
+        st.tuples(
+            st.sampled_from([0.2, 1.0, 3.0]),
+            st.floats(min_value=0.0, max_value=1.6),
+            st.floats(min_value=0.0, max_value=2.5),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    n_max=st.integers(min_value=0, max_value=8),
+)
+# a failed ground lambda (g = 1.5), a lambda with no sign change (n = 1 at
+# g = 0.9) and a complex block (n = 7, t_z = +1 at delta = 3, g = 0.6)
+@example(draws=[(1.0, 0.2, 1.0, False), (1.0, 1.5, 0.5, False),
+                (1.0, 0.9, 0.5, True), (3.0, 0.6, 0.0, False)], n_max=8)
+@settings(max_examples=25, deadline=None)
+def test_ladder_batch_equals_one_point_calls(draws, n_max):
+    points = _batch_points(draws)
+    ladders = analytic_ladders(points, n_max)
+    spectra = analytic_spectra(points, n_max)
+    for p, ladder, spec in zip(points, ladders, spectra):
         try:
-            return real_solve(*args, **kwargs)
-        finally:
-            inside.pop()
+            one_ladder = analytic_level_ladder(p, n_max)
+            one = analytic_spectrum(p, n_max)
+        except LambdaSolveError as exc:
+            assert isinstance(ladder, LambdaSolveError) and str(ladder) == str(exc)
+            assert isinstance(spec, LambdaSolveError) and str(spec) == str(exc)
+            continue
+        assert ladder == one_ladder
+        assert spec.failures == one.failures
+        assert spec.ground_energy == one.ground_energy
+        assert [(b.n, b.t_z, b.lam, b.residual, b.energies, b.block.tobytes())
+                for b in spec.branches] == [
+            (b.n, b.t_z, b.lam, b.residual, b.energies, b.block.tobytes())
+            for b in one.branches
+        ]
 
-    def counting_g0(n, lam):
-        counts["residuals"] += bool(inside)
-        return real_g0(n, lam)
 
-    monkeypatch.setattr(analytic, "solve_lambda", counting_solve)
-    monkeypatch.setattr(analytic, "g0", counting_g0)
-    for i in range(100):
-        analytic_level_ladder(ModelParams(delta=1.0, g=0.2, u=0.02 * i, variant=STARK), 17)
-    assert counts["solves"] == 100 * 37
-    assert counts["residuals"] / counts["solves"] <= 25
+def test_batch_failures_keep_their_reasons():
+    points = _batch_points([(1.0, 1.5, 0.5, False), (1.0, 0.9, 0.5, False),
+                            (3.0, 0.6, 0.0, False)])
+    ground_failed, no_change, complex_block = analytic_spectra(points, 8)
+    assert str(ground_failed) == (
+        "no sign change of the lambda condition in [-1, 0] (n=0, t_z=-1)"
+    )
+    assert (1, -1, "no sign change of the lambda condition in [-1, 0] (n=1, t_z=-1)") in (
+        no_change.failures
+    )
+    reasons = {(n, t_z): reason for n, t_z, reason in complex_block.failures}
+    assert reasons[(7, +1)].startswith("block eigenvalues are complex")
+    with pytest.raises(RegimeViolationError):
+        solve_branch(points[2], 7, +1)
+
+
+def test_precision_guard_refuses_a_lambda_batch(monkeypatch):
+    import rabistark.specialfn as specialfn
+
+    monkeypatch.setattr(specialfn, "EXTENDED_PRECISION", False)
+    with pytest.raises(RuntimeError, match="extended precision"):
+        analytic_ladders([ModelParams(delta=1.0, g=0.2, u=u, variant=STARK)
+                          for u in (0.0, 1.0)], 4)
 
 
 def test_refine_bracket_stops_at_float_spacing():
@@ -154,7 +248,9 @@ def test_refine_bracket_stops_at_float_spacing():
         return math.tanh(3.0 * (x - 1e5) - 1.0)
 
     lo, hi = 1e5, 1e5 + 1.0
-    x, fx = analytic.refine_bracket(fn, lo, fn(lo), hi, fn(hi), 1e-12)
+    (x,), (fx,) = analytic.refine_bracket(
+        lambda _, xs: [fn(v) for v in xs.tolist()], [lo], [fn(lo)], [hi], [fn(hi)], 1e-12
+    )
     assert abs(x - root) <= math.ulp(root)
     assert fx != 0.0 and abs(fx) <= 1e-10
     assert len(calls) <= analytic._REFINE_MAX_ITER // 4

@@ -184,6 +184,26 @@ def test_co_ladder_values(tmp_path):
     assert values == pytest.approx([2.1, 2.3, 2.5, 2.7])
 
 
+def test_point_without_analytic_ladder_keeps_its_numeric_rows(tmp_path):
+    # from g = 1.5 omega on, the ground lambda condition has no sign change
+    # in [-1, 0]: those points write their numeric rows and no analytic
+    # rows, and the sweep goes on
+    out = tmp_path / "g.csv"
+    code = main(["scan-g", "--model", "rabi", "--delta", "1", "--scan", "g=0.5:2.0:0.5",
+                 "--levels", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)[1:]
+    assert [float(r[0]) for r in rows] == sorted(float(r[0]) for r in rows)
+    sources = {}
+    for r in rows:
+        sources.setdefault(r[0], []).append(r[3])
+    solved, failed = list(sources.values())[:2], list(sources.values())[2:]
+    assert len(failed) == 2 and all(s == ["numeric"] * 3 for s in failed)
+    for s in solved:
+        assert s[:3] == ["numeric"] * 3 and len(s) > 3
+        assert all(src.startswith("analytic") for src in s[3:])
+
+
 def test_byte_identical_reruns_and_worker_independence(tmp_path):
     args = [
         "spectrum", "--model", "stark", "--delta", "1", "--g", "0.2",

@@ -110,6 +110,43 @@ def test_recurrence_refuses_without_extended_precision(monkeypatch):
         g0(2, 0.1)
 
 
+def test_precision_guard_refuses_a_batch(monkeypatch):
+    monkeypatch.setattr(specialfn, "EXTENDED_PRECISION", False)
+    with pytest.raises(RuntimeError, match="extended precision"):
+        specialfn.laguerre_lanes([0, 3, 7], [0.1, 0.5, 2.0], span=3)
+    with pytest.raises(RuntimeError, match="extended precision"):
+        specialfn.displacement_kernels([1, 2], [-0.1, -0.2])
+
+
+def scalar_recurrence(n: int, k: int, x: float) -> float:
+    """L_n^k(x) by the forward recurrence, one long-double value at a time."""
+    if n == 0:
+        return 1.0
+    xl = np.longdouble(x)
+    prev, cur = np.longdouble(1.0), np.longdouble(1 + k) - xl
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + k + 1 - xl) * cur - (j + k) * prev) / (j + 1)
+    return float(cur)
+
+
+def test_lane_recurrence_matches_scalar_calls_bit_for_bit():
+    # one batch of mixed degrees 0..60 and arguments in [0, 4] against
+    # one-lane calls and a plain scalar recurrence
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[0.0, 4.0], rng.uniform(0.0, 4.0, 8)])
+    degrees = np.repeat(np.arange(61), len(xs))
+    args = np.tile(xs, 61)
+    order = rng.permutation(degrees.size)
+    degrees, args = degrees[order], args[order]
+    ln, l1n = specialfn.laguerre_lanes(degrees, args, span=2)
+    for i, (n, x) in enumerate(zip(degrees.tolist(), args.tolist())):
+        for s in (0, 1):
+            assert ln[s, i].hex() == float.hex(laguerre(n + s, x))
+            assert ln[s, i].hex() == float.hex(scalar_recurrence(n + s, 0, x))
+            assert l1n[s, i].hex() == float.hex(assoc_laguerre1(n + s, x))
+            assert l1n[s, i].hex() == float.hex(scalar_recurrence(n + s, 1, x))
+
+
 def test_extended_precision_flag_reads_longdouble():
     assert specialfn.LONGDOUBLE_EPS == float(np.finfo(np.longdouble).eps)
     assert specialfn.EXTENDED_PRECISION == (
