@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Run the end-to-end benchmark on two trees and record both sides' medians.
 
-    python3 scripts/bench.py --baseline REV_OR_DIR [--change REV_OR_DIR]
-                             [--pairs K] [--seconds S] --out FILE
+    python3 scripts/bench.py --baseline REV_OR_DIR [--change REV_OR_DIR] --out FILE
 
 A tree is a git revision of this repository, exported with `git archive`
 into a temporary directory, or a directory holding a checkout (used in
-place).  The change side defaults to HEAD.  For each workload of perfbench
-(collapse, spectrum_sweep, staircase) the script runs the tree's own
-`perfbench/run.py --workload W --seed N --seconds S --trace 0` once per
-side in each of K pairs, alternating which side runs first, so that drift
-of the machine hits both alike.  Each run's metrics come from the last line
-of its standard output.  FILE gets every run; per side and metric the
-median and quartiles; the change/baseline ratio of the medians; the number
-of pairs in which the change read lower; both commits, the CPU model, the
-core count and the Python, numpy and scipy versions.
+place).  The change side defaults to HEAD.  For each workload that
+BENCHMARK.json declares, the script runs the tree's own
+`perfbench/run.py --workload W --seed N --seconds S --trace 0`, with S the
+file's run_seconds, once per side in each of 10 pairs, alternating which
+side runs first, so that drift of the machine hits both alike.  Each run's
+metrics come from the last line of its standard output.  FILE gets every
+run; per side and metric the median and quartiles; the change/baseline
+ratio of the medians; the number of pairs in which the change read lower;
+both commits, the CPU model, the core count and the Python, numpy and
+scipy versions.
 """
 
 import argparse
@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("collapse", "spectrum_sweep", "staircase")
+PAIRS = 10  # the fewest pairs that can show a gain
 
 
 def git(*args, cwd=ROOT):
@@ -86,23 +86,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True)
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = json.load(fh)
+    seconds = declared["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="rabistark-bench-") as scratch:
         sides = {name: prepare(spec, Path(scratch), name)
                  for name, spec in (("baseline", args.baseline), ("change", args.change))}
         workloads = {}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = {name: [] for name in sides}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("baseline", "change") if pair % 2 == 0 else ("change", "baseline")
                 for name in order:
-                    runs[name].append(run_once(sides[name][0], workload, pair + 1,
-                                               args.seconds))
+                    runs[name].append(run_once(sides[name][0], workload, pair + 1, seconds))
                     print(f"{workload} {name} run {pair + 1}: "
                           f"{runs[name][-1]['metrics']}", file=sys.stderr)
             values = {name: {m: [r["metrics"][m] for r in side_runs]
@@ -113,8 +112,7 @@ def main(argv=None) -> int:
             workloads[workload] = {
                 "runs": runs,
                 "median": medians,
-                "quartiles": {name: {m: statistics.quantiles(v, n=4)[::2] if len(v) > 1
-                                     else [v[0], v[0]] for m, v in side.items()}
+                "quartiles": {name: {m: statistics.quantiles(v, n=4)[::2] for m, v in side.items()}
                               for name, side in values.items()},
                 "change_over_baseline": {
                     m: medians["change"][m] / medians["baseline"][m]
@@ -128,8 +126,8 @@ def main(argv=None) -> int:
 
     record = {
         "command": "perfbench/run.py --trace 0",
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "baseline": {"tree": args.baseline, "commit": sides["baseline"][1]},
         "change": {"tree": args.change, "commit": sides["change"][1]},
         "machine": {"cpu": cpu_model(), "arch": platform.machine(), "cores": os.cpu_count(),

@@ -33,6 +33,7 @@ from .specialfn import assoc_laguerre1, f1, g0, laguerre  # noqa: F401
 
 LAMBDA_RESIDUAL_TOL = 1e-10
 _BRACKET_STEPS = 256
+_SCAN_CHUNK = 8  # grid steps a lane scans per round, a little past most brackets
 _LANE_BUDGET = 4096  # residual lane-evaluations per call, bounding its temporaries
 _REFINE_XTOL = 1e-15
 _REFINE_MAX_ITER = 100
@@ -87,10 +88,11 @@ class _Lanes(NamedTuple):
         return _Lanes(*(col[idx] for col in self))
 
 
-def _pow(values: np.ndarray, k: int) -> np.ndarray:
+def _pow(lam: np.ndarray, k: int) -> np.ndarray:
     # Python's float ** (libm pow) lane by lane: numpy's ** and x * x round
-    # some last bits differently, and the published outputs rest on pow
-    return np.array([v**k for v in values.tolist()])
+    # some last bits differently, and the published outputs rest on pow;
+    # only for lambdas, whose |lambda| <= 1 cannot overflow
+    return np.array([v**k for v in lam.tolist()])
 
 
 def _residual(lanes: _Lanes, lam: np.ndarray) -> np.ndarray:
@@ -182,8 +184,9 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
 
     Each lane takes the first sign change of its residual on the 1/256 grid
     scanned from 0 toward -1 and refines that bracket with refine_bracket.
-    All lanes scan together, in chunks of about _LANE_BUDGET residual
-    evaluations; a lane leaves the scan at its sign change.
+    All lanes scan together in rounds of at most _SCAN_CHUNK grid steps and
+    _LANE_BUDGET residual evaluations; a lane leaves the scan at the end of
+    the round that holds its sign change.
     """
     size = lanes.n.size
 
@@ -201,7 +204,7 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     bracketed = []
     reached = 0
     while scanning.size and reached < _BRACKET_STEPS:
-        steps = min(max(1, _LANE_BUDGET // scanning.size), _BRACKET_STEPS - reached)
+        steps = min(_SCAN_CHUNK, max(1, _LANE_BUDGET // scanning.size), _BRACKET_STEPS - reached)
         grid = -np.arange(reached + 1, reached + steps + 1) / _BRACKET_STEPS
         f = fn(np.repeat(scanning, steps), np.tile(grid, scanning.size))
         f = f.reshape(scanning.size, steps)
@@ -377,7 +380,9 @@ def _block_eigen(blocks: np.ndarray):
     a, b = blocks[:, 0, 0], blocks[:, 0, 1]
     c, d = blocks[:, 1, 0], blocks[:, 1, 1]
     half_tr = 0.5 * (a + d)
-    disc = _pow(0.5 * (a - d), 2) + b * c
+    # np.float64 ** 2 lane by lane, which is libm pow like _pow (numpy's
+    # array ** rounds otherwise) but overflows to inf instead of raising
+    disc = np.array([h**2 for h in 0.5 * (a - d)], dtype=float) + b * c
     s = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     energies = (half_tr - s, half_tr + s)
     vectors = np.stack([_eigenvectors(e, a, b, c, d) for e in energies], axis=1)
@@ -530,18 +535,42 @@ def analytic_ground_energy(params: ModelParams) -> float:
     return _ground_energy(params, solve_lambda(params, 0, -1))
 
 
+class _Ladder(NamedTuple):
+    """One point of a ladder batch: its displaced-vacuum ground energy, the
+    (lane, n, t_z) of its solved branches and the (n, t_z, reason) of its
+    failed ones."""
+
+    ground_energy: float
+    branches: list
+    failures: list
+
+
 def _solve_ladders(points, n_max: int):
     """The branches n = 0..n_max, t_z = +1, -1 of every point, solved in one
-    batch: the labels (n, t_z), the solved lanes, and per point its params,
-    its first lane and its ground-energy lane (0, -1)."""
+    batch: the solved lanes, whose t_z alternate +1, -1, and per point a
+    _Ladder, or the LambdaSolveError of its ground-energy lane (0, -1)."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     points = list(points)
     labels = [(n, t_z) for n in range(n_max + 1) for t_z in (+1, -1)]
     solved = _solve_lanes(points, labels)
-    ground = labels.index((0, -1))
-    lanes = [(p, k * len(labels), k * len(labels) + ground) for k, p in enumerate(points)]
-    return labels, solved, lanes
+    ground_label = labels.index((0, -1))
+    ladders = []
+    for k, p in enumerate(points):
+        first = k * len(labels)
+        ground = first + ground_label
+        if isinstance(solved.failures[ground], LambdaSolveError):
+            ladders.append(solved.failures[ground])
+            continue
+        branches, failures = [], []
+        for i, (n, t_z) in enumerate(labels, start=first):
+            if solved.failures[i] is None:
+                branches.append((i, n, t_z))
+            else:
+                failures.append((n, t_z, str(solved.failures[i])))
+        ground_energy = _ground_energy(p, float(solved.lam[ground]))
+        ladders.append(_Ladder(ground_energy, branches, failures))
+    return solved, ladders
 
 
 def analytic_spectra(points, n_max: int) -> list:
@@ -550,20 +579,13 @@ def analytic_spectra(points, n_max: int) -> list:
     The entry of a point whose ground-energy lambda cannot be solved is that
     LambdaSolveError instead of a spectrum.
     """
-    labels, solved, lanes = _solve_ladders(points, n_max)
+    solved, ladders = _solve_ladders(points, n_max)
     spectra = []
-    for p, first, ground in lanes:
-        if isinstance(solved.failures[ground], LambdaSolveError):
-            spectra.append(solved.failures[ground])
-            continue
-        branches, failures = [], []
-        for i, (n, t_z) in enumerate(labels, start=first):
-            if solved.failures[i] is None:
-                branches.append(solved.branch(i, n, t_z))
-            else:
-                failures.append((n, t_z, str(solved.failures[i])))
-        ground_energy = _ground_energy(p, float(solved.lam[ground]))
-        spectra.append(AnalyticSpectrum(branches, ground_energy, failures))
+    for ladder in ladders:
+        if not isinstance(ladder, LambdaSolveError):
+            branches = [solved.branch(i, n, t_z) for i, n, t_z in ladder.branches]
+            ladder = AnalyticSpectrum(branches, ladder.ground_energy, ladder.failures)
+        spectra.append(ladder)
     return spectra
 
 
@@ -582,20 +604,18 @@ def analytic_ladders(points, n_max: int) -> list:
     batch, read off the lane arrays without building branch objects.  The
     entry of a point whose ground-energy lambda cannot be solved is that
     LambdaSolveError instead of rows."""
-    labels, solved, lanes = _solve_ladders(points, n_max)
-    rows_of = np.tile([0 if t_z == +1 else 1 for _, t_z in labels], len(lanes))
-    energy = _row_energies(solved.energies, solved.vectors, rows_of).tolist()
-    ladders = []
-    for p, first, ground in lanes:
-        if isinstance(solved.failures[ground], LambdaSolveError):
-            ladders.append(solved.failures[ground])
-            continue
-        rows = [(-1, "analytic_neg", _ground_energy(p, float(solved.lam[ground])))]
-        for i, (n, t_z) in enumerate(labels, start=first):
-            if solved.failures[i] is None:
-                rows.append((n, "analytic_pos" if t_z == +1 else "analytic_neg", energy[i]))
-        ladders.append(rows)
-    return ladders
+    solved, ladders = _solve_ladders(points, n_max)
+    rows = np.tile([0, 1], solved.lam.size // 2)  # t_z = +1 reads row 0, -1 row 1
+    energy = _row_energies(solved.energies, solved.vectors, rows).tolist()
+    out = []
+    for ladder in ladders:
+        if not isinstance(ladder, LambdaSolveError):
+            ladder = [(-1, "analytic_neg", ladder.ground_energy)] + [
+                (n, "analytic_pos" if t_z == +1 else "analytic_neg", energy[i])
+                for i, n, t_z in ladder.branches
+            ]
+        out.append(ladder)
+    return out
 
 
 def analytic_level_ladder(params: ModelParams, n_max: int):

@@ -285,13 +285,14 @@ def run(spec: SweepSpec) -> int:
             total_points = len(values)
             out, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
             done = out[: failed[0]] if failed is not None else out
-            ladders = []
-            if done:
-                # the analytic ladders of all solved points form one lambda batch
-                try:
-                    ladders = analytic_ladders([p for p, _, _ in done], spec.levels // 2 + 2)
-                except Exception as exc:  # noqa: BLE001 - fails the first point, as per point
-                    done, failed = [], (0, exc)
+            # the analytic ladders of all solved points form one lambda batch
+            points, n_max = [p for p, _, _ in done], spec.levels // 2 + 2
+            try:
+                ladders = analytic_ladders(points, n_max)
+            except Exception:  # noqa: BLE001 - the point that raises is found one by one
+                ladders, raised = _run_map(lambda p: analytic_ladders([p], n_max)[0], points)
+                if raised is not None:
+                    done, failed = done[: raised[0]], raised
             for value, (_, rows, classification), ladder in zip(values, done, ladders):
                 records.extend(rows)
                 # analytic reduction unavailable at this point: numeric rows stand

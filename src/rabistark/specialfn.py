@@ -66,12 +66,13 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return out[0], out[1]
     xl = x.astype(np.longdouble)
     k = _ORDERS
+    wanted = n + np.arange(span)[:, None]  # (span, lanes) degrees to record
+    present = set(wanted.ravel().tolist())
 
     def record(degree, values):
-        for s in range(span):
-            hit = n + s == degree
-            if hit.any():
-                out[:, s, hit] = values[:, hit]
+        if degree in present:
+            hit = wanted == degree
+            out[:, hit] = values[:, hit.nonzero()[1]]
 
     prev = np.ones((2, n.size), dtype=np.longdouble)
     cur = (1 + k) - xl
@@ -79,10 +80,12 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     top = int(n.max()) + span - 1
     if top >= 1:
         record(1, cur)
+    steps = np.arange(top)[:, None, None]
+    diagonal, lower = 2 * steps + 1 + k, steps + k  # 2j + 1 + k and j + k, exact
     for j in range(1, top):
-        nxt = 2 * j + 1 + k - xl
+        nxt = diagonal[j] - xl
         nxt *= cur
-        nxt -= (j + k) * prev
+        nxt -= lower[j] * prev
         nxt /= j + 1
         prev, cur = cur, nxt
         record(j + 1, cur)

@@ -117,11 +117,12 @@ def test_solve_lambda_matches_mpmath_root(delta, g, u, kappa, n, t_z, mode):
 
 
 def test_lambda_solve_work_per_branch(monkeypatch):
-    # the spectrum sweep's ladders (Rabi-Stark, g = 0.2, u = 0 .. 1.98) in one
-    # batch, as the CLI solves them, cost about 17 residual lane-evaluations
-    # per lambda: the grid scan plus a short Illinois refinement, not a
-    # bisection down to 1e-14.  The ground energy reuses the (0, -1) lane, so
-    # 100 points solve 36 lambdas each, not 37
+    # the spectrum sweep's ladders (Rabi-Stark, g = 0.2, u = 0 .. 1.98) cost
+    # about 17 to 20 residual lane-evaluations per lambda: the grid scan plus
+    # a short Illinois refinement, not a bisection down to 1e-14.  That holds
+    # for one-lane solves, point by point and for the whole sweep in one
+    # batch, as the CLI solves it.  The ground energy reuses the (0, -1)
+    # lane, so a ladder solves 36 lambdas, not 37
     counts = {"lanes": 0, "residuals": 0}
     real_solve, real_residual = analytic._solve_lambdas, analytic._residual
 
@@ -136,10 +137,22 @@ def test_lambda_solve_work_per_branch(monkeypatch):
     monkeypatch.setattr(analytic, "_solve_lambdas", counting_solve)
     monkeypatch.setattr(analytic, "_residual", counting_residual)
     points = [ModelParams(delta=1.0, g=0.2, u=0.02 * i, variant=STARK) for i in range(100)]
-    spectra = analytic.analytic_spectra(points, 17)
-    assert all(not spec.failures for spec in spectra)
-    assert counts["lanes"] == 100 * 36
-    assert counts["residuals"] / counts["lanes"] <= 25
+    shapes = {
+        "one lane": (
+            lambda: [solve_lambda(p, n, t_z) for p in points[::10]
+                     for n in range(18) for t_z in (+1, -1)],
+            10 * 36,
+        ),
+        "point by point": (lambda: [analytic_level_ladder(p, 17) for p in points], 100 * 36),
+        "one batch": (lambda: analytic_ladders(points, 17), 100 * 36),
+    }
+    for shape, (solve, lambdas) in shapes.items():
+        counts.update(lanes=0, residuals=0)
+        out = solve()
+        if shape != "one lane":
+            assert [len(rows) for rows in out] == [37] * 100, shape
+        assert counts["lanes"] == lambdas, shape
+        assert counts["residuals"] / counts["lanes"] <= 25, shape
 
 
 def test_branch_residual_is_the_one_its_solve_ended_on(monkeypatch):

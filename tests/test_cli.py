@@ -253,6 +253,35 @@ def test_solver_failure_flushes_partial_with_trailer(tmp_path, monkeypatch):
     assert len(numeric_rows) == 4
 
 
+def test_analytic_error_fails_its_own_point(tmp_path, monkeypatch):
+    # an error raised by the analytic ladder of one point fails that point,
+    # not the whole batch: the points before it keep all their rows
+    real = cli.analytic_ladders
+
+    def flaky(points, n_max):
+        if any(p.u >= 0.5 for p in points):
+            raise ValueError("synthetic analytic failure for testing")
+        return real(points, n_max)
+
+    monkeypatch.setattr(cli, "analytic_ladders", flaky)
+    out = tmp_path / "partial.csv"
+    code = main(
+        [
+            "spectrum", "--model", "stark", "--delta", "1", "--g", "0.1",
+            "--scan", "u=0:1:0.25", "--levels", "2", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_SOLVER
+    lines = out.read_text().splitlines()
+    assert lines[-1].startswith("# incomplete:") and "u = 0.5:" in lines[-1]
+    rows = read_csv(out)[1:-1]
+    assert sorted({float(r[0]) for r in rows}) == [0.0, 0.25]
+    for value in ("0", "0.25"):
+        sources = [r[3] for r in rows if float(r[0]) == float(value)]
+        assert sources[:2] == ["numeric"] * 2
+        assert len(sources) > 2 and all(s.startswith("analytic") for s in sources[2:])
+
+
 def test_json_failure_marks_incomplete(tmp_path, monkeypatch):
     def always_fail(params, k, **kwargs):
         raise SolverError("boom")
