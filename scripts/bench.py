@@ -14,17 +14,23 @@ metrics come from the last line of its standard output.  FILE gets every
 run; per side and metric the median and quartiles; the change/baseline
 ratio of the medians; the number of pairs in which the change read lower;
 both commits, the CPU model, the core count and the Python, numpy and
-scipy versions.
+scipy versions.  It then runs the tier-1 suite,
+`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, in
+each tree 3 times, alternating which side runs first, and records each
+run's wall time and its passed and failed counts, with the median wall
+time per side.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,8 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs that can show a gain
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_RUNS = 3
 
 
 def git(*args, cwd=ROOT):
@@ -69,6 +77,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def tier1_once(tree: Path) -> dict:
+    """Wall time and passed/failed counts of one tier-1 run in tree."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (f":{path}" if path else "")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "summary": summary}
 
 
 def cpu_model() -> str:
@@ -124,6 +146,13 @@ def main(argv=None) -> int:
                 },
             }
 
+        tier1 = {name: [] for name in sides}
+        for run in range(TIER1_RUNS):
+            order = ("baseline", "change") if run % 2 == 0 else ("change", "baseline")
+            for name in order:
+                tier1[name].append(tier1_once(sides[name][0]))
+                print(f"tier-1 {name} run {run + 1}: {tier1[name][-1]}", file=sys.stderr)
+
     record = {
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
@@ -135,6 +164,12 @@ def main(argv=None) -> int:
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "workloads": workloads,
+        "tier1": {
+            "command": "PYTHONPATH=src python " + " ".join(TIER1),
+            "runs": tier1,
+            "median_wall_s": {name: statistics.median(r["wall_s"] for r in runs)
+                              for name, runs in tier1.items()},
+        },
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh
 from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dstebz, dstein
 
 from .fockspace import HamiltonianMatrix, ModelParams, build_hamiltonian
 
@@ -68,6 +69,32 @@ def _band_of(h) -> tuple[np.ndarray, int]:
     return a, a.shape[0]
 
 
+def _chain_eigen(band: np.ndarray, k: int, want_vectors: bool):
+    """Lowest k eigenvalues (and vectors) of the tridiagonal chain in band,
+    by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0) and inverse iteration
+    (dstein).  These are the calls scipy.linalg.eigh_tridiagonal makes for
+    select='i', so every bit is the same; what it adds per call is argument
+    handling that eigen_symmetric does itself."""
+    # the last off-diagonal slot lies outside the chain; the message is the
+    # one the CLI has always written into its incompleteness trailer
+    if not np.isfinite(band.ravel()[:-1]).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d, e = band[0], band[1, :-1]
+    if d.size == 1:  # the wrappers reject an empty off-diagonal
+        return (d.copy(), np.ones((1, 1))) if want_vectors else d.copy()
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E")
+    if info != 0:
+        raise SolverError(f"LAPACK dstebz failed with info={info} (dim={d.size}, k={k})")
+    w = w[:m]
+    if not want_vectors:
+        return w
+    v, info = dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise SolverError(f"LAPACK dstein failed with info={info} (dim={d.size}, k={k})")
+    order = np.argsort(w)  # order 'B' groups the values by split block
+    return w[order], v[:, order]
+
+
 def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
     """Lowest k eigenpairs of a real symmetric matrix.
 
@@ -85,10 +112,7 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
     banded = isinstance(h, HamiltonianMatrix)
     try:
         if banded and h.bandwidth == 1:  # eig_banded would form a dim x dim Q
-            out = eigh_tridiagonal(
-                h.band[0], h.band[1, :-1], eigvals_only=not want_vectors,
-                select="i", select_range=(0, k - 1),
-            )
+            out = _chain_eigen(h.band, k, want_vectors)
         elif banded:
             out = eig_banded(
                 h.band,
@@ -115,7 +139,7 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
         energies, vectors = out, None
     energies = np.asarray(energies, dtype=float)
 
-    if np.any(np.diff(energies) < 0):
+    if k > 1 and (energies[1:] < energies[:-1]).any():
         raise SolverError("eigenvalues returned out of order")
 
     if vectors is not None:
@@ -149,12 +173,11 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     if not 1 <= k <= dim:
         raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
     m = min(k, cutoff + 1)
-    plus, minus = (
-        eigen_symmetric(build_hamiltonian(params, cutoff, parity=p), m).energies
-        for p in (+1, -1)
-    )
-    energies = np.sort(np.concatenate([plus, minus]))[:k]
-    return Spectrum(energies=energies, cutoff=cutoff, k_requested=k, sectors=(plus, minus))
+    plus = eigen_symmetric(build_hamiltonian(params, cutoff, parity=+1), m).energies
+    minus = eigen_symmetric(build_hamiltonian(params, cutoff, parity=-1), m).energies
+    merged = np.concatenate((plus, minus))
+    merged.sort()
+    return Spectrum(energies=merged[:k], cutoff=cutoff, k_requested=k, sectors=(plus, minus))
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int):

@@ -8,6 +8,7 @@ in this interleaved ordering.  Matrices are stored in LAPACK lower band form
 construction.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,6 +40,9 @@ class ModelParams:
     variant: Variant = Variant.RABI_STARK
 
     def __post_init__(self):
+        for name in ("omega", "delta", "g", "u", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.delta < 0:
@@ -139,9 +143,9 @@ def build_hamiltonian(
     u = params.effective_u
     kappa = params.effective_kappa
     n = np.arange(cutoff + 1, dtype=float)
-    sqrt_np1 = np.sqrt(n[1:])
 
     if parity is None:
+        sqrt_np1 = np.sqrt(n[1:])
         dim = 2 * (cutoff + 1)
         band = np.zeros((4, dim))
         band[0, 0::2] = params.omega * n - (params.delta / 2 + u * n / 2) + kappa * n**2
@@ -153,10 +157,21 @@ def build_hamiltonian(
 
     if parity not in (+1, -1):
         raise ValueError(f"parity must be None, +1 or -1, got {parity!r}")
-    s = parity * (-1.0) ** n
-    band = np.zeros((2, cutoff + 1))
-    band[0] = params.omega * n + s * (params.delta / 2 + u * n / 2) + kappa * n**2
-    band[1, :cutoff] = params.g * sqrt_np1
+    band = np.empty((2, cutoff + 1))
+    diag, off = band
+    # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
+    # the same products and sums in the same order, and s = +-1 is exact
+    np.multiply(u, n, out=diag)
+    diag /= 2
+    diag += params.delta / 2
+    diag[(1 if parity > 0 else 0)::2] *= -1.0  # s = parity (-1)^n
+    diag += params.omega * n
+    np.sqrt(n[1:], out=off[:cutoff])
+    off[:cutoff] *= params.g
+    off[cutoff] = 0.0
+    n *= n
+    n *= kappa
+    diag += n
     return HamiltonianMatrix(band=band, cutoff=cutoff, parity=parity)
 
 

@@ -74,6 +74,19 @@ def test_validation_failures_exit_2(argv, tmp_path, monkeypatch):
     assert main(argv) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("coupling", [["--delta", "nan"], ["--g", "inf"], ["--kappa", "nan"]])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--model", "stark", "--scan", "u=0:0.2:0.1"],
+    ["staircase", "--model", "completed", "--delta", "100", "--kappa", "0.05",
+     "--scan", "u=2:2.2:0.01"],
+])
+def test_non_finite_coupling_is_a_validation_error(command, coupling, tmp_path, capsys):
+    # refused when the parameters are built, before any solve
+    code = main([*command, *coupling, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_collapse_check_history_rows(tmp_path):
     out = tmp_path / "collapse.csv"
     code = main(

@@ -7,20 +7,93 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import rabistark
+from rabistark import eigen
 from rabistark.eigen import (
     Classification,
+    SolverError,
     converged_spectrum,
     eigen_symmetric,
     spectrum_at_cutoff,
 )
-from rabistark.fockspace import ModelParams, Variant, build_hamiltonian
+from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant, build_hamiltonian
+
+
+def chain(d, e) -> HamiltonianMatrix:
+    band = np.zeros((2, len(d)))
+    band[0], band[1, :-1] = d, e
+    return HamiltonianMatrix(band=band, cutoff=len(d) - 1, parity=+1)
 
 
 def test_one_by_one_block():
     spec = eigen_symmetric(np.array([[3.7]]), 1)
     assert spec.energies[0] == pytest.approx(3.7, abs=0.0)
+    spec = eigen_symmetric(chain([3.7], []), 1, want_vectors=True)
+    assert spec.energies.tolist() == [3.7] and spec.vectors.tolist() == [[1.0]]
+
+
+@st.composite
+def chains(draw):
+    """(d, e) of a random symmetric tridiagonal chain; some off-diagonals
+    are zero or tiny enough for LAPACK to split the chain there, and some
+    diagonals are rounded to integers so that levels cluster."""
+    dim = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 50.0])), size=dim)
+    if draw(st.booleans()):
+        d = np.round(d)
+    e = rng.uniform(0.01, 3.0, size=dim - 1) * rng.choice([-1.0, 1.0], size=dim - 1)
+    split = rng.random(dim - 1) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    e[split] = rng.choice([0.0, 1e-300, 1e-20], size=int(split.sum()))
+    return d, e
+
+
+@given(de=chains(), k_frac=st.floats(0.0, 1.0), want_vectors=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_chain_solver_matches_eigh_tridiagonal_bit_for_bit(de, k_frac, want_vectors):
+    # the direct dstebz/dstein calls are the ones eigh_tridiagonal makes for
+    # select='i', so values and vectors agree to the last bit
+    d, e = de
+    k = 1 + int(k_frac * (len(d) - 1))
+    spec = eigen_symmetric(chain(d, e), k, want_vectors=want_vectors)
+    ref = eigh_tridiagonal(d, e, eigvals_only=not want_vectors, select="i",
+                           select_range=(0, k - 1))
+    if not want_vectors:
+        assert spec.vectors is None and np.array_equal(spec.energies, ref)
+        return
+    w, v = ref
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(k)] < 0  # the package's sign convention
+    v[:, flip] *= -1.0
+    assert np.array_equal(spec.energies, w)
+    assert np.array_equal(spec.vectors, v)
+
+
+def test_chain_solver_failures_raise_solver_error(monkeypatch):
+    h = build_hamiltonian(ModelParams(delta=1.0, g=0.3, u=0.5), 20, parity=+1)
+    real_stebz = eigen.dstebz
+    for info in (1, -3):
+        monkeypatch.setattr(eigen, "dstebz", lambda *a, info=info: (*real_stebz(*a)[:4], info))
+        with pytest.raises(SolverError, match="dstebz"):
+            eigen_symmetric(h, 2)
+    monkeypatch.setattr(eigen, "dstebz", real_stebz)
+    monkeypatch.setattr(eigen, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 2))
+    with pytest.raises(SolverError, match="dstein"):
+        eigen_symmetric(h, 2, want_vectors=True)
+
+
+def test_non_finite_chain_entries_are_refused():
+    # finite couplings whose kappa n^2 overflows; a NaN off-diagonal
+    with np.errstate(over="ignore"):
+        h = build_hamiltonian(ModelParams(kappa=1e308, variant=Variant.COMPLETED), 4, parity=-1)
+    assert np.isinf(h.band[0, -1])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigen_symmetric(h, 1)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigen_symmetric(chain([0.0, 1.0, 2.0], [0.5, np.nan]), 1)
 
 
 def test_two_by_two_closed_form():

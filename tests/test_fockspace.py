@@ -57,6 +57,13 @@ def test_params_validation():
         ModelParams(kappa=-0.5)
 
 
+@pytest.mark.parametrize("name", ["omega", "delta", "g", "u", "kappa"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_couplings(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelParams(**{name: value})
+
+
 def test_variant_masks_couplings():
     p = ModelParams(g=0.2, u=1.5, kappa=0.3, variant=Variant.RABI)
     assert p.effective_u == 0.0 and p.effective_kappa == 0.0
