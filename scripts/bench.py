@@ -14,7 +14,9 @@ metrics come from the last line of its standard output.  FILE gets every
 run; per side and metric the median and quartiles; the change/baseline
 ratio of the medians; the number of pairs in which the change read lower;
 both commits, the CPU model, the core count and the Python, numpy and
-scipy versions.  It then runs the tier-1 suite,
+scipy versions.  After the pairs of a workload it runs the same command
+with `--trace 1` once per side and records that run's per-layer metrics.
+It then runs the tier-1 suite,
 `PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, in
 each tree 3 times, alternating which side runs first, and records each
 run's wall time and its passed and failed counts, with the median wall
@@ -66,9 +68,9 @@ def prepare(spec: str, scratch: Path, name: str) -> tuple[Path, str | None]:
     return tree, commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench.py: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -144,7 +146,10 @@ def main(argv=None) -> int:
                     m: sum(c < b for c, b in zip(values["change"][m], values["baseline"][m]))
                     for m in values["change"]
                 },
+                "traced": {name: run_once(tree, workload, 1, seconds, trace=1)
+                           for name, (tree, _) in sides.items()},
             }
+            print(f"{workload} traced: {workloads[workload]['traced']}", file=sys.stderr)
 
         tier1 = {name: [] for name in sides}
         for run in range(TIER1_RUNS):
@@ -154,7 +159,7 @@ def main(argv=None) -> int:
                 print(f"tier-1 {name} run {run + 1}: {tier1[name][-1]}", file=sys.stderr)
 
     record = {
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0; one --trace 1 run per side (traced)",
         "seconds": seconds,
         "pairs": PAIRS,
         "baseline": {"tree": args.baseline, "commit": sides["baseline"][1]},

@@ -95,9 +95,9 @@ def _pow(lam: np.ndarray, k: int) -> np.ndarray:
     return np.array([v**k for v in lam.tolist()])
 
 
-def _residual(lanes: _Lanes, lam: np.ndarray) -> np.ndarray:
+def _residual(lanes: _Lanes, lam: np.ndarray, kern0: np.ndarray, kern1: np.ndarray) -> np.ndarray:
+    """The condition at lam for each lane, given its g0 and f1 kernels there."""
     omega, delta, g, u, kappa, n, t_z = lanes
-    kern0, kern1 = displacement_kernels(n, lam)
     r = (
         lam * omega
         + g
@@ -126,8 +126,8 @@ def lambda_condition_residual(params: ModelParams, n: int, t_z: int, lam: float)
     completed variant.
     """
     t_z = _check_tz(t_z)
-    lanes = _Lanes.of([params], [(n, t_z)])
-    return float(_residual(lanes, np.array([float(lam)]))[0])
+    lanes, lam = _Lanes.of([params], [(n, t_z)]), np.array([float(lam)])
+    return float(_residual(lanes, lam, *displacement_kernels(lanes.n, lam))[0])
 
 
 def refine_bracket(fn, lo, f_lo, hi, f_hi, xtol) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +186,24 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     scanned from 0 toward -1 and refines that bracket with refine_bracket.
     All lanes scan together in rounds of at most _SCAN_CHUNK grid steps and
     _LANE_BUDGET residual evaluations; a lane leaves the scan at the end of
-    the round that holds its sign change.
+    the round that holds its sign change.  Each round reads the kernels from
+    one Laguerre table over its grid points (degrees from the scanning
+    lanes' least n to the batch's largest) with the float64 expressions of
+    displacement_kernels, bit for bit; the refinement calls the latter.
     """
     size = lanes.n.size
 
-    def fn(idx, lam):
+    def fn(idx, lam, table=None, cols=None):
         out = np.empty(idx.size)
         for piece in _pieces(idx.size):
-            out[piece] = _residual(lanes.take(idx[piece]), lam[piece])
+            sub, x = lanes.take(idx[piece]), lam[piece]
+            if table is None:
+                kernels = displacement_kernels(sub.n, x)
+            else:  # table: its first degree, L and L^1 by (degree, grid point)
+                first, ln, l1n = table
+                e, at = np.exp(-2.0 * x * x), (sub.n - first, cols[piece])
+                kernels = ln[at] * e, 2.0 * x * l1n[at] * e / (sub.n + 1)
+            out[piece] = _residual(sub, x, *kernels)
         return out
 
     a = np.zeros(size)
@@ -202,11 +212,14 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     b, fb = a.copy(), fa.copy()
     scanning = np.flatnonzero(fa != 0.0)
     bracketed = []
-    reached = 0
+    reached, top = 0, int(lanes.n.max(initial=0))
     while scanning.size and reached < _BRACKET_STEPS:
         steps = min(_SCAN_CHUNK, max(1, _LANE_BUDGET // scanning.size), _BRACKET_STEPS - reached)
         grid = -np.arange(reached + 1, reached + steps + 1) / _BRACKET_STEPS
-        f = fn(np.repeat(scanning, steps), np.tile(grid, scanning.size))
+        first = int(lanes.n[scanning].min())
+        table = laguerre_lanes(np.full(steps, first), 4.0 * grid * grid, span=top - first + 1)
+        cols = np.arange(scanning.size * steps) % steps  # lane-major evaluations
+        f = fn(np.repeat(scanning, steps), grid[cols], (first, *table), cols)
         f = f.reshape(scanning.size, steps)
         f_prev = np.concatenate([fa[scanning, None], f[:, :-1]], axis=1)
         change = f_prev * f <= 0.0

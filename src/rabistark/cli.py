@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
+MAX_SCAN_POINTS = 100_000  # per --scan axis, refused before the grid is built
 
 SPECTRUM_COLUMNS = ["sweep_value", "level_index", "energy", "source", "cutoff", "classification"]
 COLLAPSE_COLUMNS = ["cutoff", "level_index", "energy", "classification"]
@@ -100,10 +101,14 @@ def _parse_scan(text: str) -> tuple[str, tuple[float, float, float]]:
     name = name.strip()
     if name not in ("g", "u"):
         raise ValidationFailure(f"unsupported scan parameter {name!r} (use g or u)")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationFailure(f"scan start, stop and step must be finite, got {rhs!r}")
     if step <= 0:
         raise ValidationFailure(f"scan step must be > 0, got {step}")
     if not start < stop:
         raise ValidationFailure(f"scan start {start} must be < stop {stop}")
+    if not (stop - start) / step < MAX_SCAN_POINTS:  # an overflow to inf too
+        raise ValidationFailure(f"scan {text!r} has more than {MAX_SCAN_POINTS} points")
     return name, (start, stop, step)
 
 

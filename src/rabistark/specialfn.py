@@ -25,7 +25,7 @@ def _check_degrees(n) -> np.ndarray:
     arr = np.asarray(n)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"polynomial degree must be an integer, got {n!r}")
-    arr = arr.astype(np.int64).ravel()
+    arr = arr.astype(np.int64, copy=False).ravel()
     if arr.size and arr.min() < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {arr.min()}")
     return arr
@@ -43,19 +43,17 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """L_{n+s}(x) and L^1_{n+s}(x) for s = 0 .. span-1, lane by lane.
 
     n and x are per-lane degrees and arguments.  One long-double recurrence
-    runs both orders up to the largest degree asked for, and each lane's
-    values are taken when the recurrence reaches its own degrees.  Returns
-    two float64 arrays of shape (span, lanes).  Arguments and the precision
-    guard are checked once for the whole batch.
+    runs both orders; the lanes are sorted by top degree n + span - 1 once,
+    so each step runs over the prefix of lanes that still need it, and
+    values go straight into the output.  A lane's bits do not depend on the
+    other lanes.  With equal n and span = top - n + 1 the call is a table of
+    degrees n..top per argument.  Returns two float64 arrays of shape
+    (span, lanes).  Arguments and the precision guard are checked once.
     """
     n = _check_degrees(n)
     x = _check_arguments(x)
     if n.shape != x.shape:
         raise ValueError(f"{n.size} degrees for {x.size} arguments")
-    if n.size and n.max() + span - 1 > MAX_DEGREE:
-        raise ValueError(
-            f"degree {n.max() + span - 1} exceeds supported maximum {MAX_DEGREE}"
-        )
     if not EXTENDED_PRECISION:
         raise RuntimeError(
             f"long double eps is {LONGDOUBLE_EPS:.3e}, no finer than double: the "
@@ -64,25 +62,38 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     out = np.empty((2, span, n.size))
     if not n.size:
         return out[0], out[1]
+    # lanes by top degree n + span - 1, descending (one lane or a table is already)
+    order = None if (n[:-1] >= n[1:]).all() else np.argsort(-n, kind="stable")
+    n, x = (n, x) if order is None else (n[order], x[order])
+    top = int(n[0]) + span - 1
+    if top > MAX_DEGREE:
+        raise ValueError(f"degree {top} exceeds supported maximum {MAX_DEGREE}")
     xl = x.astype(np.longdouble)
+    # reach[i] lanes have n >= i + 1 - span: degree d runs over lanes
+    # [0, reach[d]), and lanes [reach[d + span], reach[d]) record it in row d - n
+    reach = np.searchsorted(-n, span - 1 - np.arange(top + span + 1), side="right").tolist()
     k = _ORDERS
-    wanted = n + np.arange(span)[:, None]  # (span, lanes) degrees to record
-    present = set(wanted.ravel().tolist())
 
     def record(degree, values):
-        if degree in present:
-            hit = wanted == degree
-            out[:, hit] = values[:, hit.nonzero()[1]]
+        lo, hi = reach[degree + span], reach[degree]
+        if lo == hi:
+            return
+        if n[lo] == n[hi - 1]:  # one row: a slice where the lanes are in order
+            rows, lanes = degree - n[lo], slice(lo, hi)
+        else:  # span > 1 and the lanes fill different rows
+            rows, lanes = degree - n[lo:hi], np.arange(lo, hi)
+        out[:, rows, lanes if order is None else order[lanes]] = values[:, lo:hi]
 
     prev = np.ones((2, n.size), dtype=np.longdouble)
-    cur = (1 + k) - xl
     record(0, prev)
-    top = int(n.max()) + span - 1
     if top >= 1:
+        cur = (1 + k) - xl[: reach[1]]
         record(1, cur)
     steps = np.arange(top)[:, None, None]
-    diagonal, lower = 2 * steps + 1 + k, steps + k  # 2j + 1 + k and j + k, exact
+    diagonal, lower = 2 * steps + (1 + k), steps + k  # 2j + 1 + k and j + k, exact
     for j in range(1, top):
+        if reach[j + 1] < xl.size:  # lanes whose top degree is j are done
+            xl, prev, cur = xl[: reach[j + 1]], prev[:, : reach[j + 1]], cur[:, : reach[j + 1]]
         nxt = diagonal[j] - xl
         nxt *= cur
         nxt -= lower[j] * prev

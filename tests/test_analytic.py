@@ -118,24 +118,33 @@ def test_solve_lambda_matches_mpmath_root(delta, g, u, kappa, n, t_z, mode):
 
 def test_lambda_solve_work_per_branch(monkeypatch):
     # the spectrum sweep's ladders (Rabi-Stark, g = 0.2, u = 0 .. 1.98) cost
-    # about 17 to 20 residual lane-evaluations per lambda: the grid scan plus
+    # about 17 to 21 residual lane-evaluations per lambda: the grid scan plus
     # a short Illinois refinement, not a bisection down to 1e-14.  That holds
     # for one-lane solves, point by point and for the whole sweep in one
-    # batch, as the CLI solves it.  The ground energy reuses the (0, -1)
-    # lane, so a ladder solves 36 lambdas, not 37
-    counts = {"lanes": 0, "residuals": 0}
+    # batch, as the CLI solves it.  The scan reads its kernels from one
+    # Laguerre table per round, so only lambda = 0 and the refinement's
+    # steps evaluate displacement_kernels, at most 8 lanes per lambda.  The
+    # ground energy reuses the (0, -1) lane, so a ladder solves 36 lambdas,
+    # not 37
+    counts = {"lanes": 0, "residuals": 0, "kernels": 0}
     real_solve, real_residual = analytic._solve_lambdas, analytic._residual
+    real_kernels = analytic.displacement_kernels
 
     def counting_solve(lanes):
         counts["lanes"] += lanes.n.size
         return real_solve(lanes)
 
-    def counting_residual(lanes, lam):
+    def counting_residual(lanes, lam, kern0, kern1):
         counts["residuals"] += lam.size
-        return real_residual(lanes, lam)
+        return real_residual(lanes, lam, kern0, kern1)
+
+    def counting_kernels(n, lam):
+        counts["kernels"] += np.size(lam)
+        return real_kernels(n, lam)
 
     monkeypatch.setattr(analytic, "_solve_lambdas", counting_solve)
     monkeypatch.setattr(analytic, "_residual", counting_residual)
+    monkeypatch.setattr(analytic, "displacement_kernels", counting_kernels)
     points = [ModelParams(delta=1.0, g=0.2, u=0.02 * i, variant=STARK) for i in range(100)]
     shapes = {
         "one lane": (
@@ -147,12 +156,13 @@ def test_lambda_solve_work_per_branch(monkeypatch):
         "one batch": (lambda: analytic_ladders(points, 17), 100 * 36),
     }
     for shape, (solve, lambdas) in shapes.items():
-        counts.update(lanes=0, residuals=0)
+        counts.update(lanes=0, residuals=0, kernels=0)
         out = solve()
         if shape != "one lane":
             assert [len(rows) for rows in out] == [37] * 100, shape
         assert counts["lanes"] == lambdas, shape
         assert counts["residuals"] / counts["lanes"] <= 25, shape
+        assert counts["kernels"] / counts["lanes"] <= 8, shape
 
 
 def test_branch_residual_is_the_one_its_solve_ended_on(monkeypatch):
@@ -174,6 +184,34 @@ def test_branch_residual_is_the_one_its_solve_ended_on(monkeypatch):
         for br in spec.branches:
             fresh = lambda_condition_residual(p, br.n, br.t_z, br.lam)
             assert float.hex(br.residual) == float.hex(fresh)
+
+
+def test_scan_residuals_equal_fresh_evaluations(monkeypatch):
+    # the scan reads its kernels from one Laguerre table per round; every
+    # residual a batch solve evaluates equals a fresh evaluation through
+    # displacement_kernels, as lambda_condition_residual makes it, bit for bit
+    seen = []
+    real = analytic._residual
+
+    def recording(lanes, lam, kern0, kern1):
+        r = real(lanes, lam, kern0, kern1)
+        seen.append((lanes, lam.copy(), r.copy()))
+        return r
+
+    points = [
+        ModelParams(delta=1.0, g=0.05 + 0.02 * i, u=0.09 * i, kappa=kappa, variant=variant)
+        for i in range(20)
+        for variant, kappa in ((STARK, 0.0), (Variant.COMPLETED, 0.05))
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_residual", recording)
+        analytic_spectra(points, 12)
+    on_grid = sum(int(np.count_nonzero((lam != 0.0) & (lam * 256 == np.round(lam * 256))))
+                  for _, lam, _ in seen)
+    assert on_grid > 1000  # the scan's evaluations
+    for lanes, lam, r in seen:
+        fresh = real(lanes, lam, *analytic.displacement_kernels(lanes.n, lam))
+        assert fresh.tobytes() == r.tobytes()
 
 
 def _batch_points(draws):

@@ -74,6 +74,30 @@ def test_validation_failures_exit_2(argv, tmp_path, monkeypatch):
     assert main(argv) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("scan", [
+    "u=-inf:0:1", "u=0:inf:1", "u=0:1:inf", "u=nan:1:0.1", "g=0:1e-300:1e-320",
+    "u=-1e308:1e308:1",
+])
+def test_bad_scan_grid_is_a_validation_error(scan, tmp_path, capsys):
+    # non-finite bounds and oversized grids are refused before a grid is built
+    code = main(["spectrum", "--model", "stark", "--scan", scan,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_scan_point_bound_is_exact():
+    # parsing only counts the points: the largest grid allowed and the first
+    # refused, and a 1e12-point grid refused without being built
+    top = cli.MAX_SCAN_POINTS
+    assert cli._parse_scan(f"u=0:{top - 1}:1") == ("u", (0.0, top - 1.0, 1.0))
+    assert len(cli.grid_values(0.0, top - 1.0, 1.0)) == top
+    for scan in (f"u=0:{top}:1", "u=0:1000:1e-9"):
+        with pytest.raises(cli.ValidationFailure, match="more than"):
+            cli._parse_scan(scan)
+
+
 @pytest.mark.parametrize("coupling", [["--delta", "nan"], ["--g", "inf"], ["--kappa", "nan"]])
 @pytest.mark.parametrize("command", [
     ["spectrum", "--model", "stark", "--scan", "u=0:0.2:0.1"],

@@ -147,6 +147,60 @@ def test_lane_recurrence_matches_scalar_calls_bit_for_bit():
             assert l1n[s, i].hex() == float.hex(scalar_recurrence(n + s, 1, x))
 
 
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(st.integers(0, 60), st.floats(0.0, 4.0, allow_subnormal=False)),
+        min_size=1, max_size=30,
+    ),
+    span=st.integers(1, 3),
+    data=st.data(),
+)
+def test_lane_values_do_not_depend_on_the_batch(lanes, span, data):
+    # the recurrence sorts lanes by top degree and stops each at its own, so a
+    # lane's bits must not move with lane order or with the other lanes
+    n = np.array([lane[0] for lane in lanes])
+    x = np.array([lane[1] for lane in lanes])
+    whole = specialfn.laguerre_lanes(n, x, span)
+    perm = np.array(data.draw(st.permutations(range(n.size))))
+    permuted = specialfn.laguerre_lanes(n[perm], x[perm], span)
+    assert _bits(*permuted) == _bits(*(v[:, perm] for v in whole))
+    subset = np.array(data.draw(
+        st.lists(st.integers(0, n.size - 1), min_size=1, max_size=n.size, unique=True)
+    ))
+    part = specialfn.laguerre_lanes(n[subset], x[subset], span)
+    assert _bits(*part) == _bits(*(v[:, subset] for v in whole))
+    for i in data.draw(st.lists(st.integers(0, n.size - 1), max_size=4)):
+        alone = specialfn.laguerre_lanes(n[i:i + 1], x[i:i + 1], span)
+        assert _bits(*alone) == _bits(*(v[:, i:i + 1] for v in whole))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degrees=st.lists(st.integers(0, 60), min_size=1, max_size=12),
+    steps=st.lists(st.integers(0, 256), min_size=1, max_size=8, unique=True),
+    from_zero=st.booleans(),
+)
+def test_table_kernels_equal_displacement_kernels(degrees, steps, from_zero):
+    # a table call (one lane per grid point, every degree first..top) read
+    # with the float64 expressions of displacement_kernels gives its bits
+    grid = -np.array(steps) / 256
+    first, top = (0 if from_zero else min(degrees)), max(degrees)
+    ln, l1n = specialfn.laguerre_lanes(np.full(grid.size, first), 4.0 * grid * grid,
+                                       span=top - first + 1)
+    n = np.repeat(degrees, grid.size)
+    cols = np.tile(np.arange(grid.size), len(degrees))
+    lam = grid[cols]
+    e = np.exp(-2.0 * lam * lam)
+    kern0 = ln[n - first, cols] * e
+    kern1 = 2.0 * lam * l1n[n - first, cols] * e / (n + 1)
+    assert _bits(kern0, kern1) == _bits(*specialfn.displacement_kernels(n, lam))
+
+
 def test_extended_precision_flag_reads_longdouble():
     assert specialfn.LONGDOUBLE_EPS == float(np.finfo(np.longdouble).eps)
     assert specialfn.EXTENDED_PRECISION == (
