@@ -186,10 +186,9 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     scanned from 0 toward -1 and refines that bracket with refine_bracket.
     All lanes scan together in rounds of at most _SCAN_CHUNK grid steps and
     _LANE_BUDGET residual evaluations; a lane leaves the scan at the end of
-    the round that holds its sign change.  Each round reads the kernels from
-    one Laguerre table over its grid points (degrees from the scanning
-    lanes' least n to the batch's largest) with the float64 expressions of
-    displacement_kernels, bit for bit; the refinement calls the latter.
+    the round that holds its sign change.  A round reads the kernels from
+    one Laguerre table over its grid points, with the float64 expressions of
+    displacement_kernels, bit for bit; refinement steps call the latter.
     """
     size = lanes.n.size
 

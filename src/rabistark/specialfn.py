@@ -43,10 +43,9 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """L_{n+s}(x) and L^1_{n+s}(x) for s = 0 .. span-1, lane by lane.
 
     n and x are per-lane degrees and arguments.  One long-double recurrence
-    runs both orders; the lanes are sorted by top degree n + span - 1 once,
-    so each step runs over the prefix of lanes that still need it, and
-    values go straight into the output.  A lane's bits do not depend on the
-    other lanes.  With equal n and span = top - n + 1 the call is a table of
+    runs both orders, each lane only up to its top degree n + span - 1 (the
+    lanes sorted by it, a step runs over a prefix), so a lane's bits do not
+    depend on the others; equal n and span = top - n + 1 make a table of
     degrees n..top per argument.  Returns two float64 arrays of shape
     (span, lanes).  Arguments and the precision guard are checked once.
     """
@@ -59,19 +58,22 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
             f"long double eps is {LONGDOUBLE_EPS:.3e}, no finer than double: the "
             "Laguerre recurrence needs x86 80-bit extended precision"
         )
+    in_order = n.size < 2 or bool((n[:-1] >= n[1:]).all())  # one lane, or a table
+    top = int(n[0] if in_order else n.max()) + span - 1 if n.size else -1
+    if top > MAX_DEGREE:
+        raise ValueError(f"degree {top} exceeds supported maximum {MAX_DEGREE}")
     out = np.empty((2, span, n.size))
     if not n.size:
         return out[0], out[1]
-    # lanes by top degree n + span - 1, descending (one lane or a table is already)
-    order = None if (n[:-1] >= n[1:]).all() else np.argsort(-n, kind="stable")
-    n, x = (n, x) if order is None else (n[order], x[order])
-    top = int(n[0]) + span - 1
-    if top > MAX_DEGREE:
-        raise ValueError(f"degree {top} exceeds supported maximum {MAX_DEGREE}")
+    # lanes by top degree n + span - 1, descending: a counting sort, stable
+    counts = np.bincount(n, minlength=top + 1)
+    order = None if in_order else np.concatenate(
+        [np.flatnonzero(n == v) for v in np.flatnonzero(counts)[::-1].tolist()])
+    n, x = (n, x) if in_order else (n[order], x[order])
     xl = x.astype(np.longdouble)
     # reach[i] lanes have n >= i + 1 - span: degree d runs over lanes
     # [0, reach[d]), and lanes [reach[d + span], reach[d]) record it in row d - n
-    reach = np.searchsorted(-n, span - 1 - np.arange(top + span + 1), side="right").tolist()
+    reach = [n.size] * (span - 1) + np.cumsum(counts[::-1])[::-1].tolist() + [0]
     k = _ORDERS
 
     def record(degree, values):

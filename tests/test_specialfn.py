@@ -79,6 +79,14 @@ def test_domain_errors(fn, bad):
         fn(n, x)
 
 
+def test_degree_bound_counts_the_span():
+    # the top degree n + span - 1 is refused before any lane array is built
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=10**12)
+    ln, l1n = specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=specialfn.MAX_DEGREE)
+    assert ln.shape == l1n.shape == (specialfn.MAX_DEGREE, 2)
+
+
 def test_kernel_trivial_values():
     assert g0(3, 0.0) == 1.0
     assert g0(0, 0.1) == pytest.approx(math.exp(-0.02), rel=1e-15)
