@@ -43,7 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
-MAX_SCAN_POINTS = 100_000  # per --scan axis, refused before the grid is built
+MAX_SCAN_POINTS = 100_000  # per --scan axis and per error-map grid, refused before any solve
 
 SPECTRUM_COLUMNS = ["sweep_value", "level_index", "energy", "source", "cutoff", "classification"]
 COLLAPSE_COLUMNS = ["cutoff", "level_index", "energy", "classification"]
@@ -216,6 +216,11 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValidationFailure("error-map g grid must lie within 0 < g <= 0.6 omega")
         if u_grid[0] < 0 or u_grid[-1] > 2.0 * omega + 1e-12:
             raise ValidationFailure("error-map u grid must lie within 0 <= u <= 2 omega")
+        if len(g_grid) * len(u_grid) > MAX_SCAN_POINTS:
+            raise ValidationFailure(
+                f"error-map grid of {len(g_grid)} x {len(u_grid)} (g, u) points has more "
+                f"than {MAX_SCAN_POINTS} points"
+            )
     elif sub == "staircase":
         if set(spec.grids) != {"u"}:
             raise ValidationFailure("staircase requires exactly --scan u=start:stop:step")

@@ -1,9 +1,10 @@
-"""Symmetric eigensolver plus the cutoff-convergence controller.
+"""Parity-chain eigensolver plus the cutoff-convergence controller.
 
 Model spectra are solved on the two tridiagonal Z2 parity-sector chains
-(Braak, PRL 107, 100401 (2011)).  The controller doubles the Fock cutoff
-until the tracked levels stop moving (Converged), the ground energy keeps
-dropping (UnboundedBelow) or the budget is exhausted (Undetermined).
+(Braak, PRL 107, 100401 (2011)), the only matrices the package builds.  The
+controller doubles the Fock cutoff until the tracked levels stop moving
+(Converged), the ground energy keeps dropping (UnboundedBelow) or the
+budget is exhausted (Undetermined).
 Converged spectra whose tracked levels sit inside a declared degeneracy
 window that holds two levels of one parity sector are sub-classified
 CollapsedDegenerate, the numerical signature of spectral collapse at
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dstebz, dstein
 
@@ -60,93 +60,54 @@ class ConvergenceReport:
     degeneracy_window: float
 
 
-def _band_of(h) -> tuple[np.ndarray, int]:
-    if isinstance(h, HamiltonianMatrix):
-        return h.band, h.dim
-    a = np.asarray(h, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a, a.shape[0]
+def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) -> Spectrum:
+    """Lowest k eigenpairs of a parity-sector chain, a HamiltonianMatrix
+    with a two-row band as build_hamiltonian makes; anything else is a
+    ValueError.
 
-
-def _chain_eigen(band: np.ndarray, k: int, want_vectors: bool):
-    """Lowest k eigenvalues (and vectors) of the tridiagonal chain in band,
-    by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0) and inverse iteration
-    (dstein).  These are the calls scipy.linalg.eigh_tridiagonal makes for
-    select='i', so every bit is the same; what it adds per call is argument
-    handling that eigen_symmetric does itself."""
+    The chain is solved by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0)
+    and inverse iteration (dstein): the calls scipy.linalg.eigh_tridiagonal
+    makes for select='i', so every bit is the same, without that wrapper's
+    per-call argument handling.  Eigenvalues come back ascending.  When
+    vectors are requested they are checked against the residual contract
+    ||H v - E v|| <= 1e-8 (1 + |E|), with H v a band product, and normalized
+    with a fixed sign convention (largest-magnitude component positive).
+    """
+    if not (isinstance(h, HamiltonianMatrix) and h.band.shape[:-1] == (2,)):
+        shape = np.shape(h.band if isinstance(h, HamiltonianMatrix) else h)
+        raise ValueError(
+            "eigen_symmetric takes a parity-sector chain, a HamiltonianMatrix with a "
+            f"two-row band; got a {type(h).__name__} of shape {shape}"
+        )
+    band, dim = h.band, h.dim
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
     # the last off-diagonal slot lies outside the chain; the message is the
     # one the CLI has always written into its incompleteness trailer
     if not np.isfinite(band.ravel()[:-1]).all():
         raise ValueError("array must not contain infs or NaNs")
     d, e = band[0], band[1, :-1]
-    if d.size == 1:  # the wrappers reject an empty off-diagonal
-        return (d.copy(), np.ones((1, 1))) if want_vectors else d.copy()
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E")
-    if info != 0:
-        raise SolverError(f"LAPACK dstebz failed with info={info} (dim={d.size}, k={k})")
-    w = w[:m]
-    if not want_vectors:
-        return w
-    v, info = dstein(d, e, w, iblock, isplit)
-    if info != 0:
-        raise SolverError(f"LAPACK dstein failed with info={info} (dim={d.size}, k={k})")
-    order = np.argsort(w)  # order 'B' groups the values by split block
-    return w[order], v[:, order]
-
-
-def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
-    """Lowest k eigenpairs of a real symmetric matrix.
-
-    h may be a HamiltonianMatrix (solved in band form, tridiagonal when the
-    bandwidth is 1) or a dense symmetric ndarray.  Eigenvalues come back
-    ascending.  When vectors are requested they are checked against the
-    residual contract ||H v - E v|| <= 1e-8 (1 + |E|), with H v a band
-    product, and normalized with a fixed sign convention (largest-magnitude
-    component positive).
-    """
-    mat, dim = _band_of(h)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
-
-    banded = isinstance(h, HamiltonianMatrix)
-    try:
-        if banded and h.bandwidth == 1:  # eig_banded would form a dim x dim Q
-            out = _chain_eigen(h.band, k, want_vectors)
-        elif banded:
-            out = eig_banded(
-                h.band,
-                lower=True,
-                eigvals_only=not want_vectors,
-                select="i",
-                select_range=(0, k - 1),
-            )
-        else:
-            sym_err = np.max(np.abs(mat - mat.T)) if dim > 1 else 0.0
-            if sym_err > 0.0:
-                raise ValueError(f"matrix is not symmetric (max asymmetry {sym_err:.3e})")
-            out = eigh(
-                mat,
-                eigvals_only=not want_vectors,
-                subset_by_index=(0, k - 1),
-            )
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver failed for dim={dim}, k={k}: {exc}") from exc
-
-    if want_vectors:
-        energies, vectors = out
+    if dim == 1:  # the wrappers reject an empty off-diagonal
+        energies, vectors = d.copy(), (np.ones((1, 1)) if want_vectors else None)
     else:
-        energies, vectors = out, None
-    energies = np.asarray(energies, dtype=float)
+        m, w, iblock, isplit, info = dstebz(
+            d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E"
+        )
+        if info != 0:
+            raise SolverError(f"LAPACK dstebz failed with info={info} (dim={dim}, k={k})")
+        energies, vectors = w[:m], None
+        if want_vectors:
+            vectors, info = dstein(d, e, energies, iblock, isplit)
+            if info != 0:
+                raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
+            order = np.argsort(energies)  # order 'B' groups the values by split block
+            energies, vectors = energies[order], vectors[:, order]
 
     if k > 1 and (energies[1:] < energies[:-1]).any():
         raise SolverError("eigenvalues returned out of order")
 
     if vectors is not None:
-        if banded:
-            hv = np.column_stack([dsbmv(h.bandwidth, 1.0, mat, v, lower=1) for v in vectors.T])
-        else:
-            hv = mat @ vectors
+        hv = np.column_stack([dsbmv(1, 1.0, band, v, lower=1) for v in vectors.T])
         for j in range(k):
             v = vectors[:, j]
             norm = np.linalg.norm(v)
@@ -162,8 +123,7 @@ def eigen_symmetric(h, k: int, want_vectors: bool = False) -> Spectrum:
             if v[np.argmax(np.abs(v))] < 0:
                 vectors[:, j] = -v
 
-    cutoff = h.cutoff if banded else dim - 1
-    return Spectrum(energies=energies, cutoff=cutoff, k_requested=k, vectors=vectors)
+    return Spectrum(energies=energies, cutoff=h.cutoff, k_requested=k, vectors=vectors)
 
 
 def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:

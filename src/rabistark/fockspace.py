@@ -1,11 +1,11 @@
-"""Model parameters and truncated spin (x) Fock Hamiltonians.
+"""Model parameters and the truncated Hamiltonian's parity-sector chains.
 
-Basis ordering of the full matrix: |n, s> with s in {down, up} (sigma_z
-eigenstates, s = -1/+1), index = 2 n + (1 if s == up else 0).  All couplings
-connect n and n+1 with a spin flip, so the matrix is banded with bandwidth 3
-in this interleaved ordering.  Matrices are stored in LAPACK lower band form
-(band[i, j] = H[j + i, j]); the represented matrix is exactly symmetric by
-construction.
+All couplings connect |n, s> and |n+1, -s> (s = -1/+1 the sigma_z
+eigenvalue), so the parity s (-1)^n is conserved and the spin (x) Fock space
+splits into two chains (Braak, PRL 107, 100401 (2011)).  The chain of
+parity p has the basis |n, s_n>, n = 0..cutoff, with s_n = p (-1)^n; its
+index is n, and it is tridiagonal.  A chain is stored in LAPACK lower band
+form: band[0] the diagonal, band[1, n] = H[n + 1, n], band[1, cutoff] = 0.
 """
 
 import math
@@ -61,47 +61,18 @@ class ModelParams:
         return self.kappa if self.variant is Variant.COMPLETED else 0.0
 
 
-def basis_index(n: int, s: int) -> int:
-    """Index of |n, s> in the interleaved ordering (s = -1 down, +1 up)."""
-    return 2 * n + (1 if s > 0 else 0)
-
-
-def basis_state(index: int) -> tuple[int, int]:
-    """Inverse of basis_index: index -> (n, s)."""
-    return index // 2, (1 if index % 2 else -1)
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Real symmetric banded matrix over the truncated basis.
-
-    band holds the lower band form; parity is None for the full matrix or
-    +-1 for a parity-sector chain (basis: n = 0..cutoff with spin
-    s_n = parity * (-1)^n, which is tridiagonal).
-    """
+    """Real symmetric tridiagonal parity-sector chain (parity +-1) in
+    lower band form: band has shape (2, cutoff + 1)."""
 
     band: np.ndarray = field(repr=False)
     cutoff: int
-    parity: int | None = None
+    parity: int
 
     @property
     def dim(self) -> int:
         return self.band.shape[1]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.band.shape[0] - 1
-
-    def diagonal(self) -> np.ndarray:
-        return self.band[0]
-
-    def entry(self, i: int, j: int) -> float:
-        if j > i:
-            i, j = j, i
-        d = i - j
-        if d > self.bandwidth:
-            return 0.0
-        return float(self.band[d, j])
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.dim, self.dim))
@@ -129,34 +100,22 @@ def _check_cutoff(cutoff, max_dim):
 def build_hamiltonian(
     params: ModelParams,
     cutoff: int,
-    parity: int | None = None,
+    parity: int,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> HamiltonianMatrix:
-    """Truncated Hamiltonian for the requested variant.
+    """Parity-sector chain (parity = +-1) of the truncated Hamiltonian for
+    the requested variant.
 
-    Diagonal entry at |n, s>:  omega n + s (delta/2 + u n / 2) + kappa n^2.
-    Off-diagonal:              <n+1, -s| H |n, s> = g sqrt(n+1).
-    parity = +-1 builds the corresponding tridiagonal sector chain instead
-    of the full interleaved matrix.
+    Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
+    Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
+    max_dim bounds the full dimension 2 (cutoff + 1) of both chains together.
     """
     cutoff = _check_cutoff(cutoff, max_dim)
+    if parity not in (+1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity!r}")
     u = params.effective_u
     kappa = params.effective_kappa
     n = np.arange(cutoff + 1, dtype=float)
-
-    if parity is None:
-        sqrt_np1 = np.sqrt(n[1:])
-        dim = 2 * (cutoff + 1)
-        band = np.zeros((4, dim))
-        band[0, 0::2] = params.omega * n - (params.delta / 2 + u * n / 2) + kappa * n**2
-        band[0, 1::2] = params.omega * n + (params.delta / 2 + u * n / 2) + kappa * n**2
-        # |n,up> <-> |n+1,down>: index distance 1; |n,down> <-> |n+1,up>: distance 3
-        band[1, 1 : dim - 2 : 2] = params.g * sqrt_np1
-        band[3, 0 : dim - 3 : 2] = params.g * sqrt_np1
-        return HamiltonianMatrix(band=band, cutoff=cutoff)
-
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be None, +1 or -1, got {parity!r}")
     band = np.empty((2, cutoff + 1))
     diag, off = band
     # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
@@ -174,19 +133,3 @@ def build_hamiltonian(
     diag += n
     return HamiltonianMatrix(band=band, cutoff=cutoff, parity=parity)
 
-
-def mean_photon_operator(cutoff: int, max_dim: int = DEFAULT_MAX_DIM) -> HamiltonianMatrix:
-    """Diagonal photon-number operator a^dag a (x) 1 in the interleaved basis."""
-    cutoff = _check_cutoff(cutoff, max_dim)
-    band = np.zeros((1, 2 * (cutoff + 1)))
-    band[0] = np.repeat(np.arange(cutoff + 1, dtype=float), 2)
-    return HamiltonianMatrix(band=band, cutoff=cutoff)
-
-
-def parity_signs(cutoff: int) -> np.ndarray:
-    """Diagonal of the parity operator s (-1)^n in the interleaved ordering."""
-    n = np.arange(cutoff + 1)
-    signs = np.empty(2 * (cutoff + 1))
-    signs[0::2] = -((-1.0) ** n)
-    signs[1::2] = (-1.0) ** n
-    return signs

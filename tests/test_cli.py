@@ -98,6 +98,30 @@ def test_scan_point_bound_is_exact():
             cli._parse_scan(scan)
 
 
+def test_error_map_grid_bound_counts_the_product(monkeypatch, tmp_path, capsys):
+    # each axis is allowed but their 600 x 2001 product is refused before
+    # any solve; with a bound of 6 a 2 x 3 grid runs and a 2 x 4 one does not
+    def refuse(*args, **kwargs):
+        raise AssertionError("error map solved")
+
+    out = tmp_path / "o.csv"
+    monkeypatch.setattr(cli, "error_map", refuse)
+    code = main(["error-map", "--model", "stark", "--scan", "g=0.001:0.6:0.001",
+                 "--scan", "u=0:2:0.001", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "more than 100000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 6)
+    grid = ["error-map", "--model", "stark", "--scan", "g=0.1:0.2:0.1", "--out", str(out)]
+    assert main([*grid, "--scan", "u=0:2:1"]) == EXIT_OK
+    assert len(read_csv(out)) == 1 + 2 * 3
+    out.unlink()
+    assert main([*grid, "--scan", "u=0:1.5:0.5"]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("coupling", [["--delta", "nan"], ["--g", "inf"], ["--kappa", "nan"]])
 @pytest.mark.parametrize("command", [
     ["spectrum", "--model", "stark", "--scan", "u=0:0.2:0.1"],

@@ -14,8 +14,8 @@ from rabistark.colimit import (
     crossing_ladder,
     slope_prediction,
 )
-from rabistark.eigen import converged_spectrum, eigen_symmetric
-from rabistark.fockspace import ModelParams, Variant, build_hamiltonian
+from rabistark.eigen import converged_spectrum, spectrum_at_cutoff
+from rabistark.fockspace import ModelParams, Variant
 
 CO = Variant.COMPLETED
 STARK = Variant.RABI_STARK
@@ -98,7 +98,7 @@ def test_branch_energy_consistent_with_ground_energy():
 def test_branch_energies_against_numerics():
     # n = 0..5 negative-branch energies vs eigenvalues near -delta/2
     p = co_params(delta=1000.0, g=0.1, u=2.5, kappa=1e-3, variant=CO)
-    spec = eigen_symmetric(build_hamiltonian(p, 512), 280)
+    spec = spectrum_at_cutoff(p, 512, 280)
     for n in range(6):
         target = co_branch_energy(p, n)
         assert np.min(np.abs(spec.energies - target)) <= 5e-2

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+import oracle
 import rabistark
 from rabistark import eigen
 from rabistark.eigen import (
@@ -29,8 +30,14 @@ def chain(d, e) -> HamiltonianMatrix:
     return HamiltonianMatrix(band=band, cutoff=len(d) - 1, parity=+1)
 
 
+def dense(h: HamiltonianMatrix) -> np.ndarray:
+    """The symmetric tridiagonal matrix a chain's band represents."""
+    off = h.band[1, :-1]
+    return np.diag(h.band[0]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_one_by_one_block():
-    spec = eigen_symmetric(np.array([[3.7]]), 1)
+    spec = eigen_symmetric(chain([3.7], []), 1)
     assert spec.energies[0] == pytest.approx(3.7, abs=0.0)
     spec = eigen_symmetric(chain([3.7], []), 1, want_vectors=True)
     assert spec.energies.tolist() == [3.7] and spec.vectors.tolist() == [[1.0]]
@@ -98,7 +105,7 @@ def test_non_finite_chain_entries_are_refused():
 
 def test_two_by_two_closed_form():
     a, b, d = 0.3, -1.2, 2.1
-    spec = eigen_symmetric(np.array([[a, b], [b, d]]), 2)
+    spec = eigen_symmetric(chain([a, d], [b]), 2)
     s = np.sqrt(((a - d) / 2) ** 2 + b * b)
     assert spec.energies[0] == pytest.approx((a + d) / 2 - s, rel=1e-14)
     assert spec.energies[1] == pytest.approx((a + d) / 2 + s, rel=1e-14)
@@ -131,45 +138,46 @@ def charpoly_bisection_roots(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def test_random_6x6_against_charpoly_oracle():
     rng = np.random.default_rng(20240817)
-    base = rng.normal(size=(6, 6))
-    mat = (base + base.T) / 2.0
-    expected = charpoly_bisection_roots(mat)
+    h = chain(rng.normal(size=6), rng.normal(size=5))
+    expected = charpoly_bisection_roots(dense(h))
     assert len(expected) == 6
-    spec = eigen_symmetric(mat, 6)
+    spec = eigen_symmetric(h, 6)
     assert np.max(np.abs(spec.energies - expected)) <= 1e-9
 
 
 def test_vector_contract():
-    # the full band matrix and both tridiagonal sector chains
+    # both tridiagonal sector chains
     p = ModelParams(delta=1.0, g=0.25, u=0.8, variant=Variant.RABI_STARK)
-    for parity in (None, +1, -1):
+    for parity in (+1, -1):
         h = build_hamiltonian(p, 40, parity=parity)
         spec = eigen_symmetric(h, 4, want_vectors=True)
-        dense = h.to_dense()
+        mat = dense(h)
         for j in range(4):
             v = spec.vectors[:, j]
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
-            resid = np.linalg.norm(dense @ v - spec.energies[j] * v)
+            resid = np.linalg.norm(mat @ v - spec.energies[j] * v)
             assert resid <= 1e-8 * (1.0 + abs(spec.energies[j]))
             assert v[np.argmax(np.abs(v))] > 0  # fixed sign convention
 
 
 def test_k_bounds_validated():
-    h = build_hamiltonian(ModelParams(), 4)
+    h = build_hamiltonian(ModelParams(), 4, parity=+1)
     with pytest.raises(ValueError):
         eigen_symmetric(h, 0)
     with pytest.raises(ValueError):
         eigen_symmetric(h, h.dim + 1)
-    with pytest.raises(ValueError):
-        eigen_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)  # not symmetric
+    # only parity-sector chains: no dense matrix, no wider band
+    for other in (np.eye(2), HamiltonianMatrix(band=np.zeros((4, 10)), cutoff=4, parity=+1)):
+        with pytest.raises(ValueError, match="parity-sector chain"):
+            eigen_symmetric(other, 1)
 
 
 def test_decoupled_spectrum_matches_diagonal():
-    # g = 0: eigenvalues are omega n +- (delta/2 + u n/2) + kappa n^2 exactly
+    # g = 0: eigenvalues are omega n +- (delta/2 + u n/2) + kappa n^2, the
+    # diagonal of the oracle's full matrix
     p = ModelParams(delta=0.9, g=0.0, u=0.6, kappa=0.03, variant=Variant.COMPLETED)
-    h = build_hamiltonian(p, 30)
-    expected = np.sort(h.diagonal())[:8]
-    got = eigen_symmetric(h, 8).energies
+    expected = np.sort(np.diag(oracle.hamiltonian(p, 30)))[:8]
+    got = spectrum_at_cutoff(p, 30, 8).energies
     assert np.allclose(got, expected, atol=1e-12)
 
 

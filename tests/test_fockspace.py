@@ -1,49 +1,28 @@
-"""Hamiltonian builders against closed-form entries, an independent
-Kronecker-product construction, and the parity symmetry."""
+"""Parity-sector chains against closed-form entries and the independent
+dense Kronecker-product construction of tests/oracle.py, and the parity
+symmetry."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from rabistark.eigen import eigen_symmetric, spectrum_at_cutoff
-from rabistark.fockspace import (
-    ModelParams,
-    Variant,
-    basis_index,
-    basis_state,
-    build_hamiltonian,
-    mean_photon_operator,
-    parity_signs,
-)
+from rabistark.fockspace import ModelParams, Variant, build_hamiltonian
 
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
 
-def kron_oracle(params: ModelParams, cutoff: int) -> np.ndarray:
-    """Independent spin-major dense construction."""
-    dim = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    num = a.T @ a
-    eye2, eye = np.eye(2), np.eye(dim)
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return (
-        params.omega * np.kron(eye2, num)
-        + params.delta / 2 * np.kron(sz, eye)
-        + params.g * np.kron(sx, a + a.T)
-        + params.effective_u / 2 * np.kron(sz, num)
-        + params.effective_kappa * np.kron(eye2, num @ num)
-    )
-
-
-def test_basis_indexing_roundtrip():
-    assert basis_index(0, -1) == 0
-    assert basis_index(0, +1) == 1
-    assert basis_index(3, -1) == 6
-    for i in range(20):
-        n, s = basis_state(i)
-        assert basis_index(n, s) == i
+def test_oracle_imports_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any(name and name.split(".")[0] == "rabistark" for name in imported)
 
 
 def test_params_validation():
@@ -74,56 +53,61 @@ def test_variant_masks_couplings():
 
 
 def test_diagonal_entry_closed_form():
-    # stark diagonal at |2, down>: omega n - (delta/2 + u n/2) + kappa n^2
+    # stark diagonal at |2, down>, site 2 of the parity -1 chain:
+    # omega n - (delta/2 + u n/2) + kappa n^2
     p = ModelParams(omega=1.0, delta=1.0, g=0.0, u=0.5, variant=Variant.RABI_STARK)
-    h = build_hamiltonian(p, 8)
-    assert h.entry(basis_index(2, -1), basis_index(2, -1)) == pytest.approx(
-        2.0 - (0.5 + 0.5), abs=0.0
-    )
+    h = build_hamiltonian(p, 8, parity=-1)
+    assert h.band[0, 2] == pytest.approx(2.0 - (0.5 + 0.5), abs=0.0)
 
 
 def test_coupling_entry_is_g_sqrt_np1():
     p = ModelParams(delta=0.7, g=0.31, u=1.1, variant=Variant.RABI_STARK)
-    h = build_hamiltonian(p, 8)
-    assert h.entry(basis_index(1, +1), basis_index(0, -1)) == 0.31
-    assert h.entry(basis_index(3, -1), basis_index(2, +1)) == pytest.approx(
+    # <1, up| H |0, down> in the parity -1 chain, <3, down| H |2, up> in the +1 chain
+    assert build_hamiltonian(p, 8, parity=-1).band[1, 0] == 0.31
+    assert build_hamiltonian(p, 8, parity=+1).band[1, 2] == pytest.approx(
         0.31 * np.sqrt(3.0), rel=1e-15
     )
 
 
 def test_bandwidth_and_exact_symmetry():
+    # the oracle's full matrix is exactly symmetric (eigh reads one
+    # triangle); each chain is one diagonal and one off-diagonal row whose
+    # slot past the chain's end is zero
     p = ModelParams(delta=1.0, g=0.4, u=0.9, kappa=0.05, variant=Variant.COMPLETED)
-    h = build_hamiltonian(p, 16)
-    assert h.bandwidth == 3
-    dense = h.to_dense()
+    dense = oracle.hamiltonian(p, 16)
     assert np.array_equal(dense, dense.T)
+    for parity in (+1, -1):
+        h = build_hamiltonian(p, 16, parity=parity)
+        assert h.band.shape == (2, 17) and h.band[1, -1] == 0.0
 
 
 def test_independent_construction_oracle():
     # lowest eigenvalue against the spin-major Kronecker construction
     p = ModelParams(delta=1.0, g=0.3, u=1.0, variant=Variant.RABI_STARK)
-    h = build_hamiltonian(p, 64)
-    ours = eigen_symmetric(h, 1).energies[0]
-    theirs = np.linalg.eigvalsh(kron_oracle(p, 64))[0]
+    ours = spectrum_at_cutoff(p, 64, 1).energies[0]
+    theirs = oracle.lowest(p, 64, 1)[0][0]
     assert ours == pytest.approx(theirs, abs=1e-10)
 
 
 @given(delta=couplings, g=couplings, u=couplings, kappa=couplings)
 @settings(max_examples=50, deadline=None)
 def test_variant_reduction_chain_entry_identical(delta, g, u, kappa):
-    rabi = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=Variant.RABI), 12)
-    stark0 = build_hamiltonian(ModelParams(delta=delta, g=g, u=0.0, kappa=kappa, variant=Variant.RABI_STARK), 12)
-    assert np.array_equal(rabi.band, stark0.band)
+    for parity in (+1, -1):
+        rabi = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=Variant.RABI), 12, parity)
+        stark0 = build_hamiltonian(ModelParams(delta=delta, g=g, u=0.0, kappa=kappa, variant=Variant.RABI_STARK), 12, parity)
+        assert np.array_equal(rabi.band, stark0.band)
 
-    stark = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=Variant.RABI_STARK), 12)
-    completed0 = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=0.0, variant=Variant.COMPLETED), 12)
-    assert np.array_equal(stark.band, completed0.band)
+        stark = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=Variant.RABI_STARK), 12, parity)
+        completed0 = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=0.0, variant=Variant.COMPLETED), 12, parity)
+        assert np.array_equal(stark.band, completed0.band)
 
 
 def test_parity_commutator_exactly_zero():
+    # the full matrix commutes with the parity s (-1)^n exactly, so it
+    # splits into the two sectors the package's chains solve
     p = ModelParams(delta=1.3, g=0.45, u=1.7, kappa=0.02, variant=Variant.COMPLETED)
-    h = build_hamiltonian(p, 20).to_dense()
-    par = np.diag(parity_signs(20))
+    h = oracle.hamiltonian(p, 20)
+    par = np.diag(oracle.parities(20))
     assert np.max(np.abs(h @ par - par @ h)) == 0.0
 
 
@@ -137,16 +121,15 @@ def test_parity_commutator_exactly_zero():
 )
 @settings(max_examples=100, deadline=None)
 def test_parity_sectors_reassemble_full_spectrum(delta, g, u, kappa, variant, cutoff):
-    # the sector path against the interleaved full matrix, levels and the
+    # the sector path against the oracle's full matrix, levels and the
     # ground state's photon number
     p = ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
-    h = build_hamiltonian(p, cutoff)
-    k = min(12, h.dim)
-    full = eigen_symmetric(h, k, want_vectors=True)
+    k = min(12, 2 * (cutoff + 1))
+    energies, vectors = oracle.lowest(p, cutoff, k)
     merged = spectrum_at_cutoff(p, cutoff, k).energies
-    assert np.all(np.abs(merged - full.energies) <= 1e-12 * (1.0 + np.abs(full.energies)))
+    assert np.all(np.abs(merged - energies) <= 1e-12 * (1.0 + np.abs(energies)))
 
-    if full.energies[1] - full.energies[0] < 1e-3:
+    if energies[1] - energies[0] < 1e-3:
         return  # the ground vector is only well defined for a simple ground level
     sectors = [
         eigen_symmetric(build_hamiltonian(p, cutoff, parity=s), 1, want_vectors=True)
@@ -154,27 +137,23 @@ def test_parity_sectors_reassemble_full_spectrum(delta, g, u, kappa, variant, cu
     ]
     ground = min(sectors, key=lambda spec: spec.energies[0])
     nbar_sector = ground.vectors[:, 0] ** 2 @ np.arange(cutoff + 1)
-    nbar_full = full.vectors[:, 0] ** 2 @ mean_photon_operator(cutoff).diagonal()
+    nbar_full = vectors[:, 0] ** 2 @ oracle.photon_numbers(cutoff)
     assert nbar_sector == pytest.approx(nbar_full, rel=1e-8, abs=1e-10)
 
 
 def test_parity_sector_is_tridiagonal():
     p = ModelParams(delta=1.0, g=0.3, u=0.5, variant=Variant.RABI_STARK)
     h = build_hamiltonian(p, 10, parity=+1)
-    assert h.bandwidth == 1
+    assert h.band.shape == (2, 11)
     assert h.dim == 11
-
-
-def test_mean_photon_operator_entries_and_trace():
-    op = mean_photon_operator(12)
-    assert op.entry(basis_index(0, -1), basis_index(0, -1)) == 0.0
-    assert op.entry(basis_index(5, +1), basis_index(5, +1)) == 5.0
-    assert op.diagonal().sum() == 12 * 13  # 2 * sum_{n<=12} n
+    for parity in (0, 2, None):
+        with pytest.raises(ValueError, match="parity must be"):
+            build_hamiltonian(p, 10, parity=parity)
 
 
 def test_dimension_overflow_guard():
     p = ModelParams()
     with pytest.raises(ValueError):
-        build_hamiltonian(p, 10, max_dim=20)
+        build_hamiltonian(p, 10, parity=+1, max_dim=20)
     with pytest.raises(ValueError):
-        build_hamiltonian(p, 0)
+        build_hamiltonian(p, 0, parity=+1)
