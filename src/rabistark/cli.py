@@ -44,6 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
 MAX_SCAN_POINTS = 100_000  # per --scan axis and per error-map grid, refused before any solve
+CSV_ROWS_PER_WRITE = 256  # records formatted and written at a time
 
 SPECTRUM_COLUMNS = ["sweep_value", "level_index", "energy", "source", "cutoff", "classification"]
 COLLAPSE_COLUMNS = ["cutoff", "level_index", "energy", "classification"]
@@ -81,12 +82,25 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count + 1)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.16e}"
-    return str(value)
+def _field_fmt(t: type) -> str:
+    """Format field for a CSV value of type t: bool as 0/1, float with 17
+    significant digits, anything else str."""
+    return "{:d}" if t is bool else "{:.16e}" if issubclass(t, float) else "{!s}"
+
+
+def _csv_rows(records) -> str | None:
+    """The lines csv.writer writes for the records' formatted fields, with one
+    format string per row of field types; None where csv would quote a field
+    (one holding a comma, a quote or a line break, or a row's only field, empty)."""
+    formats, lines = {}, []
+    for rec in records:
+        types = tuple(map(type, rec))
+        if types not in formats:
+            formats[types] = ",".join(map(_field_fmt, types))
+        lines.append(formats[types].format(*rec))
+    text, n = "\r\n".join(lines + [""]), len(lines)
+    plain = text.count(",") == sum(map(len, records)) - n and '"' not in text
+    return text if plain and text.count("\r") == text.count("\n") == n and "" not in lines else None
 
 
 def _parse_scan(text: str) -> tuple[str, tuple[float, float, float]]:
@@ -427,8 +441,13 @@ def _write_output(spec, columns, records, extra, failure_reason) -> None:
         with open(spec.out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_fmt(v) for v in rec])
+            for start in range(0, len(records), CSV_ROWS_PER_WRITE):
+                chunk = records[start : start + CSV_ROWS_PER_WRITE]
+                rows = _csv_rows(chunk)
+                if rows is None:
+                    writer.writerows([_field_fmt(type(v)).format(v) for v in rec] for rec in chunk)
+                else:
+                    fh.write(rows)
             if failure_reason is not None:
                 fh.write(f"# incomplete: {failure_reason}\r\n")
         return

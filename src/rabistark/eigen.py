@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dstebz, dstein
 
-from .fockspace import HamiltonianMatrix, ModelParams, build_hamiltonian
+# build_hamiltonian stays importable for perfbench/spans.py
+from .fockspace import HamiltonianMatrix, ModelParams, build_chains, build_hamiltonian  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 DEFAULT_DEGENERACY_WINDOW = 1e-2
@@ -46,8 +47,9 @@ class Spectrum:
     cutoff: int
     k_requested: int
     vectors: np.ndarray | None = field(default=None, repr=False)
-    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains
+    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains, and the chains
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    chains: tuple[HamiltonianMatrix, HamiltonianMatrix] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -62,7 +64,7 @@ class ConvergenceReport:
 
 def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) -> Spectrum:
     """Lowest k eigenpairs of a parity-sector chain, a HamiltonianMatrix
-    with a two-row band as build_hamiltonian makes; anything else is a
+    with a two-row band as build_chains makes; anything else is a
     ValueError.
 
     The chain is solved by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0)
@@ -100,20 +102,20 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
             vectors, info = dstein(d, e, energies, iblock, isplit)
             if info != 0:
                 raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
-            order = np.argsort(energies)  # order 'B' groups the values by split block
-            energies, vectors = energies[order], vectors[:, order]
+            if m > 1:  # order 'B' groups the values by split block
+                order = np.argsort(energies)
+                energies, vectors = energies[order], vectors[:, order]
 
     if k > 1 and (energies[1:] < energies[:-1]).any():
         raise SolverError("eigenvalues returned out of order")
 
     if vectors is not None:
-        hv = np.column_stack([dsbmv(1, 1.0, band, v, lower=1) for v in vectors.T])
         for j in range(k):
             v = vectors[:, j]
             norm = np.linalg.norm(v)
             if abs(norm - 1.0) > NORM_TOL:
                 raise SolverError(f"eigenvector {j} norm {norm} violates unit-norm contract")
-            resid = np.linalg.norm(hv[:, j] - energies[j] * v)
+            resid = np.linalg.norm(dsbmv(1, 1.0, band, v, lower=1) - energies[j] * v)
             bound = RESIDUAL_SCALE * (1.0 + abs(energies[j]))
             if resid > bound:
                 raise SolverError(
@@ -133,11 +135,11 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     if not 1 <= k <= dim:
         raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
     m = min(k, cutoff + 1)
-    plus = eigen_symmetric(build_hamiltonian(params, cutoff, parity=+1), m).energies
-    minus = eigen_symmetric(build_hamiltonian(params, cutoff, parity=-1), m).energies
+    chains = build_chains(params, cutoff)
+    plus, minus = (eigen_symmetric(h, m).energies for h in chains)
     merged = np.concatenate((plus, minus))
     merged.sort()
-    return Spectrum(energies=merged[:k], cutoff=cutoff, k_requested=k, sectors=(plus, minus))
+    return Spectrum(merged[:k], cutoff, k, sectors=(plus, minus), chains=chains)
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int):
@@ -184,7 +186,7 @@ def converged_spectrum(
         history.append((cutoff, spec.energies))
         if len(history) >= 2:
             prev = history[-2][1]
-            drift = float(np.max(np.abs(spec.energies - prev)))
+            drift = float(abs(spec.energies - prev).max())
             drift_rate = float(spec.energies[0] - prev[0])
             drops.append(prev[0] - spec.energies[0])
             if drift <= tol:

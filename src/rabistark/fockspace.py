@@ -4,8 +4,11 @@ All couplings connect |n, s> and |n+1, -s> (s = -1/+1 the sigma_z
 eigenvalue), so the parity s (-1)^n is conserved and the spin (x) Fock space
 splits into two chains (Braak, PRL 107, 100401 (2011)).  The chain of
 parity p has the basis |n, s_n>, n = 0..cutoff, with s_n = p (-1)^n; its
-index is n, and it is tridiagonal.  A chain is stored in LAPACK lower band
-form: band[0] the diagonal, band[1, n] = H[n + 1, n], band[1, cutoff] = 0.
+index is n, and it is tridiagonal.  The two chains differ only in the signs
+s_n on their diagonals, so both are built in one (3, cutoff + 1) array: the
++1 diagonal, the -1 diagonal and the shared off-diagonal.  Each chain's band
+is a view of two of its rows in LAPACK lower band form: band[0] the
+diagonal, band[1, n] = H[n + 1, n], band[1, cutoff] = 0.
 """
 
 import math
@@ -83,7 +86,16 @@ class HamiltonianMatrix:
         return h
 
 
-def _check_cutoff(cutoff, max_dim):
+def build_chains(
+    params: ModelParams, cutoff: int, max_dim: int = DEFAULT_MAX_DIM
+) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
+    """The parity +1 and -1 chains of the truncated Hamiltonian for the
+    requested variant, as views of one (3, cutoff + 1) array.
+
+    Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
+    Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
+    max_dim bounds the full dimension 2 (cutoff + 1) of both chains together.
+    """
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
         raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     cutoff = int(cutoff)
@@ -94,42 +106,31 @@ def _check_cutoff(cutoff, max_dim):
             f"dimension 2*(cutoff+1) = {2 * (cutoff + 1)} exceeds the configured "
             f"maximum {max_dim}"
         )
-    return cutoff
-
-
-def build_hamiltonian(
-    params: ModelParams,
-    cutoff: int,
-    parity: int,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> HamiltonianMatrix:
-    """Parity-sector chain (parity = +-1) of the truncated Hamiltonian for
-    the requested variant.
-
-    Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
-    Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
-    max_dim bounds the full dimension 2 (cutoff + 1) of both chains together.
-    """
-    cutoff = _check_cutoff(cutoff, max_dim)
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity!r}")
-    u = params.effective_u
-    kappa = params.effective_kappa
     n = np.arange(cutoff + 1, dtype=float)
-    band = np.empty((2, cutoff + 1))
-    diag, off = band
+    rows = np.empty((3, cutoff + 1))
+    plus, minus, off = rows
     # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
     # the same products and sums in the same order, and s = +-1 is exact
-    np.multiply(u, n, out=diag)
-    diag /= 2
-    diag += params.delta / 2
-    diag[(1 if parity > 0 else 0)::2] *= -1.0  # s = parity (-1)^n
-    diag += params.omega * n
+    np.multiply(params.effective_u, n, out=plus)
+    plus /= 2
+    plus += params.delta / 2
+    plus[1::2] *= -1.0  # s_n = (-1)^n on the +1 chain, -(-1)^n on the -1 chain
+    np.negative(plus, out=minus)
+    np.multiply(params.omega, n, out=off)  # scratch until sqrt(n) fills it
+    rows[:2] += off
     np.sqrt(n[1:], out=off[:cutoff])
     off[:cutoff] *= params.g
     off[cutoff] = 0.0
     n *= n
-    n *= kappa
-    diag += n
-    return HamiltonianMatrix(band=band, cutoff=cutoff, parity=parity)
+    n *= params.effective_kappa
+    rows[:2] += n
+    return HamiltonianMatrix(rows[0::2], cutoff, +1), HamiltonianMatrix(rows[1:], cutoff, -1)
 
+
+def build_hamiltonian(
+    params: ModelParams, cutoff: int, parity: int, max_dim: int = DEFAULT_MAX_DIM
+) -> HamiltonianMatrix:
+    """Parity-sector chain (parity = +-1) of build_chains."""
+    if parity not in (+1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity!r}")
+    return build_chains(params, cutoff, max_dim)[0 if parity > 0 else 1]

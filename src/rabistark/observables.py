@@ -88,9 +88,8 @@ def _mean_photon_detail(
     # (+1 on a tie), and chain site n carries n photons
     plus, minus = spec.sectors
     parity = +1 if plus[0] <= minus[0] else -1
-    cutoff = spec.cutoff
+    cutoff, h = spec.cutoff, spec.chains[0 if parity > 0 else 1]
     while True:
-        h = build_hamiltonian(params, cutoff, parity=parity)
         occ = eigen_symmetric(h, 1, want_vectors=True).vectors[:, 0] ** 2
         if occ[-2:].sum() < TAIL_TOL:  # top two Fock levels
             return float(occ @ np.arange(cutoff + 1)), cutoff
@@ -99,6 +98,7 @@ def _mean_photon_detail(
             raise DivergentSpectrumError(
                 f"Fock tail does not fall below {TAIL_TOL} within cutoff {max_cutoff}"
             )
+        h = build_hamiltonian(params, cutoff, parity=parity)
 
 
 def mean_photon_ground(

@@ -2,7 +2,9 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import rabistark.cli as cli
@@ -284,6 +286,55 @@ def test_rfc4180_line_endings(tmp_path):
           "--levels", "2", "--out", str(out)])
     raw = out.read_bytes()
     assert raw.count(b"\r\n") == 3  # header + two records
+
+
+def reference_csv(path, columns, records, failure_reason=None):
+    """csv.writer with one formatting call per field: bools as 0/1, floats
+    with 17 significant digits, anything else str."""
+
+    def fmt(value):
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return f"{value:.16e}"
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([fmt(v) for v in rec])
+        if failure_reason is not None:
+            fh.write(f"# incomplete: {failure_reason}\r\n")
+
+
+MIXED_RECORDS = [
+    [0.1, 3, -0.0, "numeric", True, ""],
+    [float("nan"), -7, float("inf"), "E+", False, "Converged"],
+    [np.float64(1e-300), np.int64(12), -float("inf"), "", 1.5, None],
+    [2.0, 0, 1e308, "analytic 2", np.bool_(True), np.float32(0.25)],
+    [0.1, 3, -0.0, "numeric", True, ""],
+    [5e-324],
+    [],
+]
+# each needs csv's quoting, or its lone-empty-field rule, on one row
+QUOTED = ["a,b", 'say "x"', "two\nlines", "cr\r", "crlf\r\n"]
+CASES = [MIXED_RECORDS, MIXED_RECORDS[:-1], []] + [
+    [[1.0, "plain"], [2.0, field], [3, "plain"]] for field in QUOTED
+] + [[[1.0], [""], [2.0]], MIXED_RECORDS[:-1] * 100 + [[1.0, "a,b"]] + MIXED_RECORDS[:-1] * 50]
+
+
+@pytest.mark.parametrize("records", CASES)
+@pytest.mark.parametrize("failure_reason", [None, "u = 0.5: synthetic"])
+def test_csv_writer_bytes_match_per_field_formatting(records, failure_reason, tmp_path):
+    # rows formatted by one format string per row of field types, with csv's
+    # own quoting wherever a field needs it
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    spec = SimpleNamespace(format="csv", out_path=str(got))
+    columns = ["a", "b", "c", "d", "e", "f"]
+    cli._write_output(spec, columns, records, {}, failure_reason)
+    reference_csv(want, columns, records, failure_reason)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_solver_failure_flushes_partial_with_trailer(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from rabistark.eigen import eigen_symmetric, spectrum_at_cutoff
-from rabistark.fockspace import ModelParams, Variant, build_hamiltonian
+from rabistark.fockspace import ModelParams, Variant, build_chains, build_hamiltonian
 
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -100,6 +100,49 @@ def test_variant_reduction_chain_entry_identical(delta, g, u, kappa):
         stark = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=Variant.RABI_STARK), 12, parity)
         completed0 = build_hamiltonian(ModelParams(delta=delta, g=g, u=u, kappa=0.0, variant=Variant.COMPLETED), 12, parity)
         assert np.array_equal(stark.band, completed0.band)
+
+
+def reference_chain(p, cutoff, parity):
+    """Diagonal and off-diagonal of one chain, built alone in the formula's
+    operation order: u n, / 2, + delta/2, the sign s_n, + omega n,
+    + kappa n^2; g sqrt(n + 1) off the diagonal."""
+    n = np.arange(cutoff + 1, dtype=float)
+    diag = p.effective_u * n
+    diag /= 2
+    diag += p.delta / 2
+    diag[(1 if parity > 0 else 0)::2] *= -1.0
+    diag += p.omega * n
+    diag += n * n * p.effective_kappa
+    off = np.zeros(cutoff + 1)
+    off[:cutoff] = np.sqrt(n[1:]) * p.g
+    return diag, off
+
+
+def either_or_zero(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+@given(
+    omega=st.floats(min_value=0.05, max_value=5.0),
+    delta=either_or_zero(st.floats(min_value=0.0, max_value=1e3)),
+    g=either_or_zero(couplings),
+    u=either_or_zero(st.floats(min_value=-5.0, max_value=5.0)),
+    kappa=either_or_zero(st.floats(min_value=0.0, max_value=1.0)),
+    variant=st.sampled_from(list(Variant)),
+    cutoff=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_chain_pair_bit_identical_to_single_chains(omega, delta, g, u, kappa, variant, cutoff):
+    # both chains come from one three-row array and share its off-diagonal
+    p = ModelParams(omega=omega, delta=delta, g=g, u=u, kappa=kappa, variant=variant)
+    pair = build_chains(p, cutoff)
+    assert np.shares_memory(pair[0].band, pair[1].band)
+    for h, parity in zip(pair, (+1, -1)):
+        assert h.parity == parity and h.cutoff == cutoff
+        assert h.band.shape == (2, cutoff + 1) and h.band[1, cutoff] == 0.0
+        diag, off = reference_chain(p, cutoff, parity)
+        assert np.array_equal(h.band[0], diag) and np.array_equal(h.band[1], off)
+        assert np.array_equal(build_hamiltonian(p, cutoff, parity).band, h.band)
 
 
 def test_parity_commutator_exactly_zero():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rabistark.eigen as eigen
+import rabistark.fockspace as fockspace
 import rabistark.observables as observables
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
@@ -190,6 +191,33 @@ def test_mean_photon_solves_one_chain_with_vectors_per_tail_cutoff(monkeypatch, 
     with pytest.raises(DivergentSpectrumError):
         mean_photon_ground(p, max_cutoff=4 * cutoff)
     assert [c for c in chain_solves if c[1]] == [(m * cutoff, True) for m in (1, 2, 4)]
+
+
+def test_converged_point_builds_each_cutoff_once(monkeypatch, chain_solves):
+    # spectrum_at_cutoff builds both chains of its cutoff in one call, and the
+    # ground vector is solved on the chain built at the converged cutoff
+    builds, spectra = [], []
+    real_build, real_spectrum = eigen.build_chains, eigen.spectrum_at_cutoff
+
+    def counting_build(params, cutoff, *args):
+        builds.append(cutoff)
+        return real_build(params, cutoff, *args)
+
+    def counting_spectrum(params, cutoff, k):
+        spectra.append(cutoff)
+        return real_spectrum(params, cutoff, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was built again")
+
+    monkeypatch.setattr(eigen, "build_chains", counting_build)
+    monkeypatch.setattr(eigen, "spectrum_at_cutoff", counting_spectrum)
+    monkeypatch.setattr(fockspace, "build_hamiltonian", refuse)
+    monkeypatch.setattr(observables, "build_hamiltonian", refuse)
+    mean_photon_ground(ModelParams(delta=200.0, g=0.1, u=2.3, kappa=0.05, variant=CO))
+    assert len(builds) == 2 and builds == spectra and len(chain_solves) == 5
+    assert [c for c in chain_solves if not c[1]] == [(c, False) for c in builds for _ in "+-"]
+    assert [c for c in chain_solves if c[1]] == [(builds[-1], True)]
 
 
 def _sector_gap(p, name, x, cutoff, a, b):
