@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rabistark.eigen as eigen
-import rabistark.fockspace as fockspace
 import rabistark.observables as observables
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
@@ -212,7 +211,6 @@ def test_converged_point_builds_each_cutoff_once(monkeypatch, chain_solves):
 
     monkeypatch.setattr(eigen, "build_chains", counting_build)
     monkeypatch.setattr(eigen, "spectrum_at_cutoff", counting_spectrum)
-    monkeypatch.setattr(fockspace, "build_hamiltonian", refuse)
     monkeypatch.setattr(observables, "build_hamiltonian", refuse)
     mean_photon_ground(ModelParams(delta=200.0, g=0.1, u=2.3, kappa=0.05, variant=CO))
     assert len(builds) == 2 and builds == spectra and len(chain_solves) == 5
