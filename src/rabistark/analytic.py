@@ -547,42 +547,25 @@ def analytic_ground_energy(params: ModelParams) -> float:
     return _ground_energy(params, solve_lambda(params, 0, -1))
 
 
-class _Ladder(NamedTuple):
-    """One point of a ladder batch: its displaced-vacuum ground energy, the
-    (lane, n, t_z) of its solved branches and the (n, t_z, reason) of its
-    failed ones."""
-
-    ground_energy: float
-    branches: list
-    failures: list
-
-
-def _solve_ladders(points, n_max: int):
-    """The branches n = 0..n_max, t_z = +1, -1 of every point, solved in one
-    batch: the solved lanes, whose t_z alternate +1, -1, and per point a
-    _Ladder, or the LambdaSolveError of its ground-energy lane (0, -1)."""
+def _ladder_labels(n_max: int) -> list[tuple[int, int]]:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    points = list(points)
-    labels = [(n, t_z) for n in range(n_max + 1) for t_z in (+1, -1)]
-    solved = _solve_lanes(points, labels)
-    ground_label = labels.index((0, -1))
-    ladders = []
+    return [(n, t_z) for n in range(n_max + 1) for t_z in (+1, -1)]
+
+
+def _solve_points(points, labels):
+    """The branches (n, t_z) in labels, (0, -1) among them, of every point
+    solved in one batch: the _Solved lanes and, per point, its lane range and
+    displaced-vacuum ground energy, or the LambdaSolveError of its (0, -1) lane."""
+    points, width = list(points), len(labels)
+    solved, ground, out = _solve_lanes(points, labels), labels.index((0, -1)), []
     for k, p in enumerate(points):
-        first = k * len(labels)
-        ground = first + ground_label
-        if isinstance(solved.failures[ground], LambdaSolveError):
-            ladders.append(solved.failures[ground])
-            continue
-        branches, failures = [], []
-        for i, (n, t_z) in enumerate(labels, start=first):
-            if solved.failures[i] is None:
-                branches.append((i, n, t_z))
-            else:
-                failures.append((n, t_z, str(solved.failures[i])))
-        ground_energy = _ground_energy(p, float(solved.lam[ground]))
-        ladders.append(_Ladder(ground_energy, branches, failures))
-    return solved, ladders
+        i = k * width + ground
+        if isinstance(solved.failures[i], LambdaSolveError):
+            out.append(solved.failures[i])
+        else:
+            out.append((range(k * width, (k + 1) * width), _ground_energy(p, float(solved.lam[i]))))
+    return solved, out
 
 
 def analytic_spectra(points, n_max: int) -> list:
@@ -591,13 +574,19 @@ def analytic_spectra(points, n_max: int) -> list:
     The entry of a point whose ground-energy lambda cannot be solved is that
     LambdaSolveError instead of a spectrum.
     """
-    solved, ladders = _solve_ladders(points, n_max)
+    labels = _ladder_labels(n_max)
+    solved, split = _solve_points(points, labels)
     spectra = []
-    for ladder in ladders:
-        if not isinstance(ladder, LambdaSolveError):
-            branches = [solved.branch(i, n, t_z) for i, n, t_z in ladder.branches]
-            ladder = AnalyticSpectrum(branches, ladder.ground_energy, ladder.failures)
-        spectra.append(ladder)
+    for point in split:
+        if not isinstance(point, LambdaSolveError):
+            lanes, ground_energy = point
+            labelled = [(i, n, t_z, solved.failures[i]) for i, (n, t_z) in zip(lanes, labels)]
+            point = AnalyticSpectrum(
+                [solved.branch(i, n, t_z) for i, n, t_z, failure in labelled if failure is None],
+                ground_energy,
+                [(n, t_z, str(failure)) for _, n, t_z, failure in labelled if failure is not None],
+            )
+        spectra.append(point)
     return spectra
 
 
@@ -616,17 +605,19 @@ def analytic_ladders(points, n_max: int) -> list:
     batch, read off the lane arrays without building branch objects.  The
     entry of a point whose ground-energy lambda cannot be solved is that
     LambdaSolveError instead of rows."""
-    solved, ladders = _solve_ladders(points, n_max)
+    labels = _ladder_labels(n_max)
+    solved, split = _solve_points(points, labels)
     rows = np.tile([0, 1], solved.lam.size // 2)  # t_z = +1 reads row 0, -1 row 1
     energy = _row_energies(solved.energies, solved.vectors, rows).tolist()
     out = []
-    for ladder in ladders:
-        if not isinstance(ladder, LambdaSolveError):
-            ladder = [(-1, "analytic_neg", ladder.ground_energy)] + [
+    for point in split:
+        if not isinstance(point, LambdaSolveError):
+            lanes, ground_energy = point
+            point = [(-1, "analytic_neg", ground_energy)] + [
                 (n, "analytic_pos" if t_z == +1 else "analytic_neg", energy[i])
-                for i, n, t_z in ladder.branches
+                for i, (n, t_z) in zip(lanes, labels) if solved.failures[i] is None
             ]
-        out.append(ladder)
+        out.append(point)
     return out
 
 
@@ -671,22 +662,20 @@ def error_map(
     g_grid = [float(g) for g in g_grid]
     u_grid = [float(u) for u in u_grid]
     points = [replace(params_base, g=g, u=u) for u in u_grid for g in g_grid]
-    solved = _solve_lanes(points, [(n, -1) for n in range(_ERROR_MAP_BLOCKS)])
+    solved, split = _solve_points(points, [(n, -1) for n in range(_ERROR_MAP_BLOCKS)])
     out: list[ErrorMapPoint] = []
     prev_sign = None
-    for k, p in enumerate(points):
+    for k, (p, point) in enumerate(zip(points, split)):
         if k % len(g_grid) == 0:
             prev_sign = None
-        first = k * _ERROR_MAP_BLOCKS
-        if isinstance(solved.failures[first], LambdaSolveError):
+        if isinstance(point, LambdaSolveError):
             out.append(ErrorMapPoint(p.g, p.u, np.nan, np.nan, np.nan, "", False))
             prev_sign = None
             continue
-        e0 = _ground_energy(p, float(solved.lam[first]))
-        block_min = np.inf
-        for i in range(first, first + _ERROR_MAP_BLOCKS):
-            if solved.failures[i] is None:
-                block_min = min(block_min, float(solved.energies[i, 0]))
+        lanes, e0 = point
+        block_min = min(
+            [np.inf] + [float(solved.energies[i, 0]) for i in lanes if solved.failures[i] is None]
+        )
         spec, report = converged_spectrum(p, 1, tol=tol, max_cutoff=max_cutoff)
         settled = report.classification in (
             Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE

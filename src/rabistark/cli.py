@@ -27,7 +27,7 @@ from .analytic import (
     analytic_ladders,
     error_map,
 )
-from .colimit import CoRegimeError, crossing_ladder
+from .colimit import CO_MIN_RATIO, CoRegimeError, crossing_ladder
 # eigen_symmetric and build_hamiltonian stay importable for perfbench/spans.py
 from .eigen import (  # noqa: F401
     Classification,
@@ -242,9 +242,9 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValidationFailure("staircase requires --model completed")
         if spec.params.effective_kappa <= 0:
             raise ValidationFailure("staircase requires --kappa > 0")
-        if spec.params.delta / spec.params.omega < 50:
+        if spec.params.delta / spec.params.omega < CO_MIN_RATIO:
             raise ValidationFailure(
-                "staircase requires the CO regime delta/omega >= 50 "
+                f"staircase requires the CO regime delta/omega >= {CO_MIN_RATIO:g} "
                 f"(got {spec.params.delta / spec.params.omega:.3g})"
             )
     elif sub == "co-ladder":
@@ -263,33 +263,39 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValidationFailure(f"output path not writable: {exc}") from None
 
 
+def _solve_point(spec: SweepSpec, p: ModelParams):
+    """Spectrum (at the final cutoff), cutoff history and classification of
+    one point: at the fixed --cutoff (Undetermined) or by cutoff doubling."""
+    if spec.cutoff is not None:
+        s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
+        return s, [(spec.cutoff, s.energies)], Classification.UNDETERMINED.value
+    s, report = converged_spectrum(
+        p, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
+    )
+    return s, report.history, report.classification.value
+
+
 def _numeric_point(spec: SweepSpec, axis: str, value: float):
     """Parameters, numeric records and classification of one grid point of
     a spectrum scan (value in omega units)."""
     p = dc_replace(spec.params, **{axis: value * spec.omega})
-    if spec.cutoff is not None:
-        s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
-        cutoff_used, classification = spec.cutoff, Classification.UNDETERMINED.value
-    else:
-        s, report = converged_spectrum(
-            p, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
-        )
-        cutoff_used, classification = report.final_cutoff, report.classification.value
+    s, _, classification = _solve_point(spec, p)
     rows = [
-        [value, j, float(energy), "numeric", cutoff_used, classification]
+        [value, j, float(energy), "numeric", s.cutoff, classification]
         for j, energy in enumerate(s.energies)
     ]
     return p, rows, classification
 
 
 def _run_map(worker, items):
-    """Results in grid order, stopping at the first failure (index, exc)."""
-    results = [None] * len(items)
-    for i, item in enumerate(items):
+    """Results in grid order up to the first failure, and that failure
+    (index, exc) or None."""
+    results = []
+    for item in items:
         try:
-            results[i] = worker(item)
+            results.append(worker(item))
         except Exception as exc:  # noqa: BLE001 - converted to exit code
-            return results, (i, exc)
+            return results, (len(results), exc)
     return results, None
 
 
@@ -307,16 +313,14 @@ def run(spec: SweepSpec) -> int:
             axis = next(iter(spec.grids))
             values = grid_values(*spec.grids[axis])
             total_points = len(values)
-            out, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
-            done = out[: failed[0]] if failed is not None else out
+            done, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
             # the analytic ladders of all solved points form one lambda batch
             points, n_max = [p for p, _, _ in done], spec.levels // 2 + 2
             try:
                 ladders = analytic_ladders(points, n_max)
             except Exception:  # noqa: BLE001 - the point that raises is found one by one
                 ladders, raised = _run_map(lambda p: analytic_ladders([p], n_max)[0], points)
-                if raised is not None:
-                    done, failed = done[: raised[0]], raised
+                failed = raised or failed  # the zip below stops at the raising point
             for value, (_, rows, classification), ladder in zip(values, done, ladders):
                 records.extend(rows)
                 # analytic reduction unavailable at this point: numeric rows stand
@@ -331,16 +335,7 @@ def run(spec: SweepSpec) -> int:
         elif spec.subcommand == "collapse-check":
             columns = COLLAPSE_COLUMNS
             total_points = 1
-            if spec.cutoff is not None:
-                s = spectrum_at_cutoff(spec.params, spec.cutoff, spec.levels)
-                history = [(spec.cutoff, s.energies)]
-                classification = Classification.UNDETERMINED.value
-            else:
-                _, report = converged_spectrum(
-                    spec.params, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
-                )
-                history = report.history
-                classification = report.classification.value
+            _, history, classification = _solve_point(spec, spec.params)
             for cutoff, energies in history:
                 for j, energy in enumerate(energies):
                     records.append([cutoff, j, float(energy), classification])
@@ -353,10 +348,8 @@ def run(spec: SweepSpec) -> int:
             u_grid = [v * spec.omega for v in grid_values(*spec.grids["u"])]
             total_points = len(g_grid) * len(u_grid)
             base = spec.params
-            out, failed = _run_map(lambda u: error_map(base, g_grid, [u], tol=spec.tol), u_grid)
-            for row in out:
-                if row is None:
-                    break
+            done, failed = _run_map(lambda u: error_map(base, g_grid, [u], tol=spec.tol), u_grid)
+            for row in done:
                 for pt in row:
                     records.append(
                         [pt.g / spec.omega, pt.u / spec.omega, pt.e_analytic,

@@ -70,10 +70,11 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
     The chain is solved by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0)
     and inverse iteration (dstein): the calls scipy.linalg.eigh_tridiagonal
     makes for select='i', so every bit is the same, without that wrapper's
-    per-call argument handling.  Eigenvalues come back ascending.  When
-    vectors are requested they are checked against the residual contract
-    ||H v - E v|| <= 1e-8 (1 + |E|), with H v a band product, and normalized
-    with a fixed sign convention (largest-magnitude component positive).
+    per-call argument handling; one-site chains go through the same calls.
+    Eigenvalues come back ascending.  When vectors are requested they are
+    checked against the residual contract ||H v - E v|| <= 1e-8 (1 + |E|),
+    with H v a band product, and normalized with a fixed sign convention
+    (largest-magnitude component positive).
     """
     if not (isinstance(h, HamiltonianMatrix) and h.band.shape[:-1] == (2,)):
         shape = np.shape(h.band if isinstance(h, HamiltonianMatrix) else h)
@@ -88,23 +89,19 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
     # one the CLI has always written into its incompleteness trailer
     if not np.isfinite(band.ravel()[:-1]).all():
         raise ValueError("array must not contain infs or NaNs")
-    d, e = band[0], band[1, :-1]
-    if dim == 1:  # the wrappers reject an empty off-diagonal
-        energies, vectors = d.copy(), (np.ones((1, 1)) if want_vectors else None)
-    else:
-        m, w, iblock, isplit, info = dstebz(
-            d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E"
-        )
+    # a one-site chain passes its zero slot: the wrappers refuse an empty e
+    d, e = band[0], band[1, : max(dim - 1, 1)]
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E")
+    if info != 0:
+        raise SolverError(f"LAPACK dstebz failed with info={info} (dim={dim}, k={k})")
+    energies, vectors = w[:m], None
+    if want_vectors:
+        vectors, info = dstein(d, e, energies, iblock, isplit)
         if info != 0:
-            raise SolverError(f"LAPACK dstebz failed with info={info} (dim={dim}, k={k})")
-        energies, vectors = w[:m], None
-        if want_vectors:
-            vectors, info = dstein(d, e, energies, iblock, isplit)
-            if info != 0:
-                raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
-            if m > 1:  # order 'B' groups the values by split block
-                order = np.argsort(energies)
-                energies, vectors = energies[order], vectors[:, order]
+            raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
+        if m > 1:  # order 'B' groups the values by split block
+            order = np.argsort(energies)
+            energies, vectors = energies[order], vectors[:, order]
 
     if k > 1 and (energies[1:] < energies[:-1]).any():
         raise SolverError("eigenvalues returned out of order")

@@ -9,7 +9,8 @@ import numpy as np
 
 from .analytic import refine_bracket
 from .colimit import check_co_regime
-from .eigen import Classification, converged_spectrum, eigen_symmetric, spectrum_at_cutoff
+from .eigen import DEFAULT_MAX_CUTOFF, Classification, converged_spectrum, eigen_symmetric
+from .eigen import spectrum_at_cutoff
 from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
@@ -102,7 +103,7 @@ def _mean_photon_detail(
 
 
 def mean_photon_ground(
-    params: ModelParams, tol: float = 1e-8, max_cutoff: int = 32_768
+    params: ModelParams, tol: float = 1e-8, max_cutoff: int = DEFAULT_MAX_CUTOFF
 ) -> float:
     """<a^dag a> in the converged ground state.
 
@@ -167,10 +168,10 @@ def staircase_scan(
             f"per expected step width 4 kappa = {expected_width:.3g}"
         )
 
-    def point(u):
-        return _mean_photon_detail(dc_replace(params, u=float(u)), tol, start_cutoff, 32_768)
-
-    results = [point(u) for u in u_values]
+    results = [
+        _mean_photon_detail(dc_replace(params, u=float(u)), tol, start_cutoff, DEFAULT_MAX_CUTOFF)
+        for u in u_values
+    ]
     nbar = np.array([r[0] for r in results])
     cutoffs = [r[1] for r in results]
 
@@ -240,6 +241,7 @@ def detect_level_crossings(
     iteration at the larger of the two points' cutoffs and reported as the
     merged pair (a + b, a + b + 1) with gap |E+_a - E-_b|.  Requires g > 0
     at every point: with g = 0 the chains are diagonal and may be degenerate.
+    A point that is unbounded below or Undetermined raises DivergentSpectrumError.
     """
     if param_name not in ("g", "u", "kappa", "delta"):
         raise ValueError(f"unsupported sweep parameter {param_name!r}")
@@ -258,6 +260,10 @@ def detect_level_crossings(
         if report.classification is Classification.UNBOUNDED_BELOW:
             raise DivergentSpectrumError(
                 f"sweep point {param_name} = {v} is unbounded from below"
+            )
+        if report.classification is Classification.UNDETERMINED:
+            raise DivergentSpectrumError(
+                f"sweep point {param_name} = {v} did not converge by cutoff {DEFAULT_MAX_CUTOFF}"
             )
         sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)

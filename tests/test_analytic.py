@@ -368,6 +368,17 @@ def test_completed_block_additions_are_explicit():
         assert full[1, 0] == pytest.approx(base[1, 0] + add_off, rel=1e-15)
 
 
+def test_block_eigenpairs_equals_the_branch_solve():
+    # one block through the public 2x2 solver gives the batch's energies and
+    # eigenvectors bit for bit
+    p = ModelParams(delta=1.0, g=0.3, u=0.8, variant=STARK)
+    for n, t_z in [(0, -1), (0, +1), (3, -1), (5, +1)]:
+        branch = solve_branch(p, n, t_z)
+        (e_lo, v_lo), (e_hi, v_hi) = block_eigenpairs(branch.block)
+        assert (e_lo, e_hi) == branch.energies
+        assert np.array_equal(v_lo, branch.vectors[0]) and np.array_equal(v_hi, branch.vectors[1])
+
+
 def test_block_eigenpairs_rejects_complex_pair():
     with pytest.raises(RegimeViolationError):
         block_eigenpairs(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -497,6 +508,23 @@ def test_error_map_withholds_unconverged_numerics():
     (pt,) = error_map(base, [0.2], [2.0], max_cutoff=512)
     assert math.isnan(pt.e_numeric) and math.isnan(pt.delta_e)
     assert math.isfinite(pt.e_analytic) and pt.region in ("I", "II")
+
+
+def test_error_map_failed_ground_lambda_fails_only_its_point():
+    # at g = 1.5 the ground lambda condition has no sign change: that point
+    # gets a NaN row with no region, and it neither flags a crossing nor
+    # sets the sign the next point is compared with
+    base = ModelParams(delta=1.0, variant=STARK)
+    first, failed, last = error_map(base, [0.2, 1.5, 0.3], [0.5])
+    assert (failed.g, failed.u, failed.region, failed.crossing) == (1.5, 0.5, "", False)
+    assert all(math.isnan(v) for v in (failed.e_analytic, failed.e_numeric, failed.delta_e))
+    # the points around it read their own lanes of the batch, bit for bit
+    assert first == error_map(base, [0.2], [0.5])[0]
+    assert last == error_map(base, [0.3], [0.5])[0]
+    assert (first.region, last.region, last.crossing) == ("I", "I", False)
+    # across a failed point from region II to region I no crossing is flagged
+    row = error_map(base, [0.6, 1.5, 0.3], [1.5])
+    assert [(pt.region, pt.crossing) for pt in row] == [("II", False), ("", False), ("I", False)]
 
 
 def test_error_map_hump_at_crossing_row():

@@ -9,7 +9,8 @@ import pytest
 
 import rabistark.cli as cli
 from rabistark.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from rabistark.eigen import SolverError
+from rabistark.eigen import SolverError, spectrum_at_cutoff
+from rabistark.fockspace import ModelParams, Variant
 
 
 def read_csv(path):
@@ -164,6 +165,18 @@ def test_collapse_check_divergence_exit_code(tmp_path):
     assert code == EXIT_DIVERGENCE
     rows = read_csv(out)
     assert {r[3] for r in rows[1:]} == {"UnboundedBelow"}
+
+
+def test_collapse_check_fixed_cutoff_writes_one_block(tmp_path):
+    out = tmp_path / "fixed.csv"
+    code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",
+                 "--capital-u", "1.5", "--levels", "4", "--cutoff", "64", "--out", str(out)])
+    assert code == EXIT_OK
+    p = ModelParams(delta=1.0, g=0.2, u=1.5, variant=Variant.RABI_STARK)
+    energies = spectrum_at_cutoff(p, 64, 4).energies
+    assert read_csv(out)[1:] == [
+        ["64", str(j), f"{e:.16e}", "Undetermined"] for j, e in enumerate(energies)
+    ]
 
 
 def test_divergence_dominated_sweep_exit_code(tmp_path):
@@ -392,6 +405,27 @@ def test_analytic_error_fails_its_own_point(tmp_path, monkeypatch):
         sources = [r[3] for r in rows if float(r[0]) == float(value)]
         assert sources[:2] == ["numeric"] * 2
         assert len(sources) > 2 and all(s.startswith("analytic") for s in sources[2:])
+
+
+def test_error_map_solver_failure_keeps_earlier_rows(tmp_path, monkeypatch):
+    # error-map solves one u row per call; a row that fails ends the map
+    # with the rows before it and the incompleteness trailer
+    real = cli.error_map
+
+    def flaky(base, g_grid, u_grid, **kwargs):
+        if u_grid[0] >= 1.85:
+            raise SolverError("synthetic failure for testing")
+        return real(base, g_grid, u_grid, **kwargs)
+
+    monkeypatch.setattr(cli, "error_map", flaky)
+    out = tmp_path / "emap.csv"
+    code = main(["error-map", "--model", "stark", "--delta", "1", "--scan", "g=0.1:0.4:0.1",
+                 "--scan", "u=1.8:2.0:0.1", "--out", str(out)])
+    assert code == EXIT_SOLVER
+    lines = out.read_text().splitlines()
+    assert lines[-1] == f"# incomplete: u = {1.8 + 0.1}: synthetic failure for testing"
+    rows = read_csv(out)[1:-1]
+    assert len(rows) == 4 and {float(r[1]) for r in rows} == {1.8}
 
 
 def test_json_failure_marks_incomplete(tmp_path, monkeypatch):

@@ -131,6 +131,33 @@ def test_crossing_detector_validates_input():
         detect_level_crossings(dc_replace(p, g=0.0), "u", [0.1, 0.2, 0.3], 2)
 
 
+def test_crossing_scan_refuses_an_unbounded_point():
+    p = ModelParams(delta=1.0, g=0.2, variant=STARK)
+    with pytest.raises(DivergentSpectrumError, match="u = 2.3 is unbounded from below"):
+        detect_level_crossings(p, "u", [2.3, 2.4, 2.5], 2)
+
+
+def test_crossing_scan_refuses_an_undetermined_point(monkeypatch):
+    # no crossing is reported from levels that did not converge
+    real = observables.converged_spectrum
+
+    def budget_spent_at(u):
+        def solve(params, **kwargs):
+            spec, report = real(params, **kwargs)
+            if params.u == u:
+                report = dc_replace(report, classification=eigen.Classification.UNDETERMINED)
+            return spec, report
+        return solve
+
+    p = ModelParams(delta=1.0, g=0.2, variant=STARK)
+    grid = [1.0, 1.5, 1.9]
+    monkeypatch.setattr(observables, "converged_spectrum", budget_spent_at(1.5))
+    with pytest.raises(DivergentSpectrumError, match="u = 1.5 did not converge by cutoff 32768"):
+        detect_level_crossings(p, "u", grid, 2)
+    monkeypatch.setattr(observables, "converged_spectrum", budget_spent_at(None))
+    assert detect_level_crossings(p, "u", grid, 2) == []
+
+
 def test_crossing_scan_reuses_the_converged_sector_levels(monkeypatch):
     # sweep points read the sector levels converged_spectrum already solved;
     # only a bracketed crossing solves the chains again
