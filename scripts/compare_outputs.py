@@ -61,7 +61,19 @@ CASES = [
     ("staircase_delta1000", [*_STAIR, "--delta", "1000", "--scan", "u=2.0:2.3:0.02"], "csv"),
     ("co_ladder", ["co-ladder", "--model", "completed", "--kappa", "0.05", "--levels", "6"],
      "csv"),
+    # --omega != 1: only the energy fields scale, the rest is in units of omega
+    ("spectrum_json_omega0.7", ["spectrum", *_STARK, "--scan", "u=0:1:0.25", "--levels", "4",
+                                "--format", "json", "--omega", "0.7"], "json"),
+    ("collapse_omega0.7", ["collapse-check", *_STARK, "--capital-u", "1.5", "--levels", "4",
+                           "--omega", "0.7"], "csv"),
+    ("error_map_omega0.7", [*_EMAP, "--omega", "0.7"], "csv"),
+    ("staircase_delta200_json_omega2", [*_STAIR, "--delta", "200", "--scan", "u=2.0:2.2:0.02",
+                                        "--format", "json", "--omega", "2"], "json"),
+    ("co_ladder_omega2", ["co-ladder", "--model", "completed", "--kappa", "0.05", "--levels",
+                          "6", "--omega", "2"], "csv"),
     ("refused_scan", ["spectrum", *_STARK, "--scan", "u=-inf:0:1"], "csv"),
+    ("refused_omega", ["spectrum", *_STARK, "--scan", "u=0:1:0.5", "--omega", "nan"], "csv"),
+    ("refused_model", ["spectrum", "--model", "bogus", "--scan", "u=0:1:0.5"], "csv"),
     # more levels than the chains hold: spectrum_at_cutoff raises inside the sweep
     ("solver_failure", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                         "--levels", "200001"], "csv"),

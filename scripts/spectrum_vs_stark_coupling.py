@@ -4,7 +4,8 @@
 Sweeps u through the collapse point at fixed delta = omega, g = 0.2 omega,
 writing numeric levels alongside the analytic JC-like branches.  Past
 u = 2 omega the classification column flips to UnboundedBelow: the lowest
-truncated eigenvalue keeps diving as the cutoff doubles.
+truncated eigenvalue keeps diving as the cutoff doubles.  At u = 2 omega
+itself the levels converge too slowly for the cutoff budget: Undetermined.
 """
 
 import os

@@ -664,13 +664,13 @@ def error_map(
     points = [replace(params_base, g=g, u=u) for u in u_grid for g in g_grid]
     solved, split = _solve_points(points, [(n, -1) for n in range(_ERROR_MAP_BLOCKS)])
     out: list[ErrorMapPoint] = []
-    prev_sign = None
+    prev_region = ""  # of the point before along g; "" at a row start or a failed point
     for k, (p, point) in enumerate(zip(points, split)):
         if k % len(g_grid) == 0:
-            prev_sign = None
+            prev_region = ""
         if isinstance(point, LambdaSolveError):
             out.append(ErrorMapPoint(p.g, p.u, np.nan, np.nan, np.nan, "", False))
-            prev_sign = None
+            prev_region = ""
             continue
         lanes, e0 = point
         block_min = min(
@@ -683,9 +683,8 @@ def error_map(
         e_num = float(spec.energies[0]) if settled else np.nan
         e_an = min(e0, block_min)
         region = "I" if e0 <= block_min else "II"
-        sign = 1.0 if e0 <= block_min else -1.0
-        crossing = prev_sign is not None and sign != prev_sign
-        prev_sign = sign
+        crossing = prev_region not in ("", region)
+        prev_region = region
         out.append(
             ErrorMapPoint(
                 g=p.g,

@@ -1,11 +1,14 @@
 """Command-line front end: parameter parsing, sweep orchestration and
 structured CSV/JSON output.
 
-All couplings are entered in units of omega; --omega rescales the produced
-energies.  Sweep output is deterministic: points are solved serially in
-grid order (--workers is accepted for compatibility and changes nothing)
-and every float is written with 17 significant digits, so identical
-invocations produce byte-identical files.
+Every subcommand solves with omega = 1: couplings, --tol, the grids, the
+error-map bounds, the co-ladder and the staircase report are in units of
+omega, as entered.  --omega multiplies only the energy fields of the
+records (energy, e_analytic, e_numeric, delta_e).  Sweep output is
+deterministic: points are solved serially in grid order (--workers is
+accepted for compatibility and changes nothing) and every float is written
+with 17 significant digits, so identical invocations produce byte-identical
+files.
 
 Exit codes: 0 success, 2 validation error, 3 solver failure (partial output
 flushed with an incompleteness trailer), 4 divergence-dominated sweep.
@@ -52,13 +55,6 @@ ERRORMAP_COLUMNS = ["g", "u", "e_analytic", "e_numeric", "delta_e", "region", "c
 STAIRCASE_COLUMNS = ["u", "mean_photon", "renorm_mean_photon"]
 COLADDER_COLUMNS = ["n", "u_crossing"]
 
-_MODEL_VARIANTS = {
-    "rabi": Variant.RABI,
-    "stark": Variant.RABI_STARK,
-    "completed": Variant.COMPLETED,
-}
-
-
 class ValidationFailure(ValueError):
     pass
 
@@ -66,7 +62,7 @@ class ValidationFailure(ValueError):
 @dataclass
 class SweepSpec:
     subcommand: str
-    params: ModelParams
+    params: ModelParams  # as entered: omega = 1
     grids: dict[str, tuple[float, float, float]]
     levels: int
     tol: float
@@ -74,7 +70,7 @@ class SweepSpec:
     format: str
     workers: int
     cutoff: int | None
-    omega: float
+    omega: float  # the energy scale of the written energy fields
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("co-ladder", "analytic level-crossing ladder of the completed model"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True, choices=sorted(_MODEL_VARIANTS))
+        p.add_argument("--model", required=True, choices=sorted(v.value for v in Variant))
         p.add_argument("--omega", type=float, default=1.0)
         p.add_argument("--delta", type=float, default=1.0)
         p.add_argument("--g", type=float, default=0.0)
@@ -160,9 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def spec_from_args(args) -> SweepSpec:
-    omega = args.omega
-    if omega <= 0:
-        raise ValidationFailure(f"--omega must be positive, got {omega}")
+    if args.omega <= 0:
+        raise ValidationFailure(f"--omega must be positive, got {args.omega}")
     if args.levels < 1:
         raise ValidationFailure(f"--levels must be >= 1, got {args.levels}")
     if args.tol <= 0:
@@ -179,14 +174,15 @@ def spec_from_args(args) -> SweepSpec:
             raise ValidationFailure(f"duplicate --scan for parameter {name!r}")
         grids[name] = grid
 
+    if not math.isfinite(args.omega):
+        raise ValidationFailure(f"omega must be finite, got {args.omega}")
     try:
         params = ModelParams(
-            omega=omega,
-            delta=args.delta * omega,
-            g=args.g * omega,
-            u=args.capital_u * omega,
-            kappa=args.kappa * omega,
-            variant=_MODEL_VARIANTS[args.model],
+            delta=args.delta,
+            g=args.g,
+            u=args.capital_u,
+            kappa=args.kappa,
+            variant=Variant(args.model),
         )
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
@@ -196,12 +192,12 @@ def spec_from_args(args) -> SweepSpec:
         params=params,
         grids=grids,
         levels=args.levels,
-        tol=args.tol * omega,
+        tol=args.tol,
         out_path=args.out,
         format=args.format,
         workers=args.workers,
         cutoff=args.cutoff,
-        omega=omega,
+        omega=args.omega,
     )
     _validate_spec(spec)
     return spec
@@ -225,10 +221,9 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValidationFailure("error-map requires --scan g=... and --scan u=...")
         g_grid = grid_values(*spec.grids["g"])
         u_grid = grid_values(*spec.grids["u"])
-        omega = spec.omega
-        if g_grid[0] <= 0 or g_grid[-1] > 0.6 * omega + 1e-12:
+        if g_grid[0] <= 0 or g_grid[-1] > 0.6 + 1e-12:
             raise ValidationFailure("error-map g grid must lie within 0 < g <= 0.6 omega")
-        if u_grid[0] < 0 or u_grid[-1] > 2.0 * omega + 1e-12:
+        if u_grid[0] < 0 or u_grid[-1] > 2.0 + 1e-12:
             raise ValidationFailure("error-map u grid must lie within 0 <= u <= 2 omega")
         if len(g_grid) * len(u_grid) > MAX_SCAN_POINTS:
             raise ValidationFailure(
@@ -242,10 +237,10 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValidationFailure("staircase requires --model completed")
         if spec.params.effective_kappa <= 0:
             raise ValidationFailure("staircase requires --kappa > 0")
-        if spec.params.delta / spec.params.omega < CO_MIN_RATIO:
+        if spec.params.delta < CO_MIN_RATIO:
             raise ValidationFailure(
                 f"staircase requires the CO regime delta/omega >= {CO_MIN_RATIO:g} "
-                f"(got {spec.params.delta / spec.params.omega:.3g})"
+                f"(got {spec.params.delta:.3g})"
             )
     elif sub == "co-ladder":
         if spec.grids:
@@ -269,19 +264,17 @@ def _solve_point(spec: SweepSpec, p: ModelParams):
     if spec.cutoff is not None:
         s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
         return s, [(spec.cutoff, s.energies)], Classification.UNDETERMINED.value
-    s, report = converged_spectrum(
-        p, spec.levels, tol=spec.tol, degeneracy_window=1e-2 * spec.omega
-    )
+    s, report = converged_spectrum(p, spec.levels, tol=spec.tol)
     return s, report.history, report.classification.value
 
 
 def _numeric_point(spec: SweepSpec, axis: str, value: float):
     """Parameters, numeric records and classification of one grid point of
-    a spectrum scan (value in omega units)."""
-    p = dc_replace(spec.params, **{axis: value * spec.omega})
+    a spectrum scan."""
+    p = dc_replace(spec.params, **{axis: value})
     s, _, classification = _solve_point(spec, p)
     rows = [
-        [value, j, float(energy), "numeric", s.cutoff, classification]
+        [value, j, float(energy) * spec.omega, "numeric", s.cutoff, classification]
         for j, energy in enumerate(s.energies)
     ]
     return p, rows, classification
@@ -326,7 +319,7 @@ def run(spec: SweepSpec) -> int:
                 # analytic reduction unavailable at this point: numeric rows stand
                 if not isinstance(ladder, LambdaSolveError):
                     for idx, label, energy in ladder:
-                        records.append([value, idx, float(energy), label, "", ""])
+                        records.append([value, idx, float(energy) * spec.omega, label, "", ""])
                 if classification == Classification.UNBOUNDED_BELOW.value:
                     divergent += 1
             if failed is not None:
@@ -338,29 +331,27 @@ def run(spec: SweepSpec) -> int:
             _, history, classification = _solve_point(spec, spec.params)
             for cutoff, energies in history:
                 for j, energy in enumerate(energies):
-                    records.append([cutoff, j, float(energy), classification])
+                    records.append([cutoff, j, float(energy) * spec.omega, classification])
             if classification == Classification.UNBOUNDED_BELOW.value:
                 divergent = 1
 
         elif spec.subcommand == "error-map":
             columns = ERRORMAP_COLUMNS
-            g_grid = [v * spec.omega for v in grid_values(*spec.grids["g"])]
-            u_grid = [v * spec.omega for v in grid_values(*spec.grids["u"])]
+            g_grid = grid_values(*spec.grids["g"])
+            u_grid = grid_values(*spec.grids["u"])
             total_points = len(g_grid) * len(u_grid)
-            base = spec.params
+            base, w = spec.params, spec.omega
             done, failed = _run_map(lambda u: error_map(base, g_grid, [u], tol=spec.tol), u_grid)
             for row in done:
                 for pt in row:
-                    records.append(
-                        [pt.g / spec.omega, pt.u / spec.omega, pt.e_analytic,
-                         pt.e_numeric, pt.delta_e, pt.region, pt.crossing]
-                    )
+                    records.append([pt.g, pt.u, pt.e_analytic * w, pt.e_numeric * w,
+                                    pt.delta_e * w, pt.region, pt.crossing])
             if failed is not None:
                 failure_reason = f"u = {u_grid[failed[0]]}: {failed[1]}"
 
         elif spec.subcommand == "staircase":
             columns = STAIRCASE_COLUMNS
-            u_values = [v * spec.omega for v in grid_values(*spec.grids["u"])]
+            u_values = grid_values(*spec.grids["u"])
             total_points = len(u_values)
             report = staircase_scan(
                 spec.params,
@@ -372,7 +363,7 @@ def run(spec: SweepSpec) -> int:
             for u, nbar, renorm in zip(
                 report.u_values, report.mean_photon, report.renormalized
             ):
-                records.append([float(u) / spec.omega, float(nbar), float(renorm)])
+                records.append([float(u), float(nbar), float(renorm)])
             extra["report"] = {
                 "edges": [float(e) for e in report.edges],
                 "widths": [float(w) for w in report.widths],
@@ -417,12 +408,12 @@ def _spec_echo(spec: SweepSpec) -> dict:
         "subcommand": spec.subcommand,
         "model": spec.params.variant.value,
         "omega": spec.omega,
-        "delta": spec.params.delta / spec.omega,
-        "g": spec.params.g / spec.omega,
-        "capital_u": spec.params.u / spec.omega,
-        "kappa": spec.params.kappa / spec.omega,
+        "delta": spec.params.delta,
+        "g": spec.params.g,
+        "capital_u": spec.params.u,
+        "kappa": spec.params.kappa,
         "levels": spec.levels,
-        "tol": spec.tol / spec.omega,
+        "tol": spec.tol,
         "cutoff": spec.cutoff,
         "format": spec.format,
         "grids": {k: list(v) for k, v in sorted(spec.grids.items())},

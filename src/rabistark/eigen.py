@@ -45,7 +45,6 @@ class Classification(str, Enum):
 class Spectrum:
     energies: np.ndarray
     cutoff: int
-    k_requested: int
     vectors: np.ndarray | None = field(default=None, repr=False)
     # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains, and the chains
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -122,7 +121,7 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
             if v[np.argmax(np.abs(v))] < 0:
                 vectors[:, j] = -v
 
-    return Spectrum(energies=energies, cutoff=h.cutoff, k_requested=k, vectors=vectors)
+    return Spectrum(energies=energies, cutoff=h.cutoff, vectors=vectors)
 
 
 def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
@@ -136,7 +135,7 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     plus, minus = (eigen_symmetric(h, m).energies for h in chains)
     merged = np.concatenate((plus, minus))
     merged.sort()
-    return Spectrum(merged[:k], cutoff, k, sectors=(plus, minus), chains=chains)
+    return Spectrum(merged[:k], cutoff, sectors=(plus, minus), chains=chains)
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int):
@@ -163,9 +162,8 @@ def converged_spectrum(
                            has two levels within degeneracy_window of the
                            ground level
       UnboundedBelow     ground energy dropped by > 10 tol on each of the
-                         last three doublings (early exit additionally
-                         requires the drops not to be shrinking, which
-                         separates divergence from slow convergence)
+                         last three doublings and the drops are not
+                         shrinking (shrinking drops are slow convergence)
       Undetermined       budget exhausted without meeting any rule
     """
     if tol <= 0:
@@ -203,9 +201,6 @@ def converged_spectrum(
             ):
                 classification = Classification.UNBOUNDED_BELOW
                 break
-    else:
-        if len(drops) >= 3 and all(d > 10 * tol for d in drops[-3:]):
-            classification = Classification.UNBOUNDED_BELOW
 
     if not history:
         raise ValueError(

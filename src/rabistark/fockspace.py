@@ -86,25 +86,23 @@ class HamiltonianMatrix:
         return h
 
 
-def build_chains(
-    params: ModelParams, cutoff: int, max_dim: int = DEFAULT_MAX_DIM
-) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
+def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
     """The parity +1 and -1 chains of the truncated Hamiltonian for the
     requested variant, as views of one (3, cutoff + 1) array.
 
     Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
     Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
-    max_dim bounds the full dimension 2 (cutoff + 1) of both chains together.
+    DEFAULT_MAX_DIM bounds the full dimension 2 (cutoff + 1) of both chains.
     """
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
         raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     cutoff = int(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if 2 * (cutoff + 1) > max_dim:
+    if 2 * (cutoff + 1) > DEFAULT_MAX_DIM:
         raise ValueError(
             f"dimension 2*(cutoff+1) = {2 * (cutoff + 1)} exceeds the configured "
-            f"maximum {max_dim}"
+            f"maximum {DEFAULT_MAX_DIM}"
         )
     n = np.arange(cutoff + 1, dtype=float)
     rows = np.empty((3, cutoff + 1))
@@ -127,10 +125,8 @@ def build_chains(
     return HamiltonianMatrix(rows[0::2], cutoff, +1), HamiltonianMatrix(rows[1:], cutoff, -1)
 
 
-def build_hamiltonian(
-    params: ModelParams, cutoff: int, parity: int, max_dim: int = DEFAULT_MAX_DIM
-) -> HamiltonianMatrix:
+def build_hamiltonian(params: ModelParams, cutoff: int, parity: int) -> HamiltonianMatrix:
     """Parity-sector chain (parity = +-1) of build_chains."""
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity!r}")
-    return build_chains(params, cutoff, max_dim)[0 if parity > 0 else 1]
+    return build_chains(params, cutoff)[0 if parity > 0 else 1]

@@ -66,6 +66,14 @@ def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, flo
     return float(x[0]), abs(float(fx[0]))
 
 
+def _refuse_unsettled(report, where: str, max_cutoff: int) -> None:
+    """DivergentSpectrumError unless the spectrum of report converged."""
+    if report.classification is Classification.UNBOUNDED_BELOW:
+        raise DivergentSpectrumError(f"{where} is unbounded from below")
+    if report.classification is Classification.UNDETERMINED:
+        raise DivergentSpectrumError(f"{where} did not converge by cutoff {max_cutoff}")
+
+
 def _mean_photon_detail(
     params: ModelParams, tol: float, start_cutoff: int | None, max_cutoff: int
 ) -> tuple[float, int]:
@@ -74,16 +82,8 @@ def _mean_photon_detail(
     spec, report = converged_spectrum(
         params, k=1, tol=tol, max_cutoff=max_cutoff, start_cutoff=start_cutoff
     )
-    if report.classification is Classification.UNBOUNDED_BELOW:
-        raise DivergentSpectrumError(
-            "spectrum is unbounded from below at these parameters "
-            f"(u = {params.effective_u}, kappa = {params.effective_kappa}); "
-            "the ground state does not exist"
-        )
-    if report.classification is Classification.UNDETERMINED:
-        raise DivergentSpectrumError(
-            f"spectrum did not converge within max_cutoff = {max_cutoff}"
-        )
+    where = f"spectrum at u = {params.effective_u}, kappa = {params.effective_kappa}"
+    _refuse_unsettled(report, where, max_cutoff)
 
     # the ground state lives in the sector chain with the lower ground level
     # (+1 on a tie), and chain site n carries n photons
@@ -109,8 +109,8 @@ def mean_photon_ground(
 
     The cutoff is raised until the spectrum classifies Converged and the
     occupation of the top two Fock levels falls below TAIL_TOL.  Refuses
-    with a divergence diagnostic when the spectrum is unbounded below
-    (original model past the collapse point).
+    with DivergentSpectrumError when the spectrum is unbounded below
+    (original model past the collapse point) or did not converge by max_cutoff.
     """
     value, _ = _mean_photon_detail(params, tol, None, max_cutoff)
     return value
@@ -257,14 +257,7 @@ def detect_level_crossings(
     for v in values:
         p = dc_replace(params, **{param_name: float(v)})
         spec, report = converged_spectrum(p, k=levels)
-        if report.classification is Classification.UNBOUNDED_BELOW:
-            raise DivergentSpectrumError(
-                f"sweep point {param_name} = {v} is unbounded from below"
-            )
-        if report.classification is Classification.UNDETERMINED:
-            raise DivergentSpectrumError(
-                f"sweep point {param_name} = {v} did not converge by cutoff {DEFAULT_MAX_CUTOFF}"
-            )
+        _refuse_unsettled(report, f"sweep point {param_name} = {v}", DEFAULT_MAX_CUTOFF)
         sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)
 

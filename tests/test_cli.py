@@ -167,6 +167,18 @@ def test_collapse_check_divergence_exit_code(tmp_path):
     assert {r[3] for r in rows[1:]} == {"UnboundedBelow"}
 
 
+def test_collapse_check_slow_convergence_is_undetermined(tmp_path):
+    # at u = 2 omega the ground drops shrink all the way to cutoff 32768:
+    # the budget is spent, nothing diverges
+    out = tmp_path / "u2.csv"
+    code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",
+                 "--capital-u", "2.0", "--levels", "4", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out)[1:]
+    assert {r[3] for r in rows} == {"Undetermined"}
+    assert int(rows[-1][0]) == 32_768
+
+
 def test_collapse_check_fixed_cutoff_writes_one_block(tmp_path):
     out = tmp_path / "fixed.csv"
     code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",
@@ -258,6 +270,83 @@ def test_co_ladder_values(tmp_path):
     assert rows[0] == ["n", "u_crossing"]
     values = [float(r[1]) for r in rows[1:]]
     assert values == pytest.approx([2.1, 2.3, 2.5, 2.7])
+
+
+_STARK = ["--model", "stark", "--delta", "1", "--g", "0.2"]
+# one run of every subcommand; --omega is appended
+OMEGA_RUNS = {
+    "spectrum": (["spectrum", *_STARK, "--scan", "u=0:1:0.5", "--levels", "4"], "json"),
+    "scan-g": (["scan-g", "--model", "rabi", "--delta", "1", "--scan", "g=0.5:2.0:0.5",
+                "--levels", "3"], "csv"),
+    "scan-u": (["scan-u", *_STARK, "--scan", "u=0:1.5:0.5", "--levels", "4",
+                "--cutoff", "48"], "csv"),
+    "collapse-check": (["collapse-check", *_STARK, "--capital-u", "1.5", "--levels", "4"],
+                       "csv"),
+    "error-map": (["error-map", "--model", "stark", "--delta", "1", "--scan", "g=0.1:0.4:0.1",
+                   "--scan", "u=1.8:2.0:0.1"], "csv"),
+    "staircase": (["staircase", "--model", "completed", "--delta", "200", "--g", "0.1",
+                   "--kappa", "0.05", "--scan", "u=2.0:2.2:0.02"], "json"),
+    "co-ladder": (["co-ladder", "--model", "completed", "--kappa", "0.05", "--levels", "4"],
+                  "csv"),
+}
+ENERGY_COLUMNS = {"energy", "e_analytic", "e_numeric", "delta_e"}
+
+
+def scaled_energies(path, fmt, omega):
+    """What the omega = 1 run that wrote path writes at --omega omega (the
+    JSON text, or the CSV rows): its energy fields times omega, everything
+    else as written."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        payload["spec"]["omega"] = omega
+        for rec in payload["records"]:
+            for name in ENERGY_COLUMNS & set(rec):
+                rec[name] *= omega
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    header, *rows = read_csv(path)
+    scaled = {j for j, name in enumerate(header) if name in ENERGY_COLUMNS}
+    return [header] + [[f"{float(v) * omega:.16e}" if j in scaled and v else v
+                        for j, v in enumerate(row)] for row in rows]
+
+
+@pytest.mark.parametrize("subcommand", sorted(OMEGA_RUNS))
+def test_omega_scales_only_the_energy_fields(subcommand, tmp_path):
+    # every subcommand solves in units of omega, so its output at --omega w
+    # is the omega = 1 output with the energy fields times w, bit for bit
+    args, fmt = OMEGA_RUNS[subcommand]
+    unit = tmp_path / f"unit.{fmt}"
+    assert main([*args, "--format", fmt, "--out", str(unit)]) == EXIT_OK
+    for omega in (0.7, 2.0):
+        out = tmp_path / f"w{omega}.{fmt}"
+        assert main([*args, "--format", fmt, "--omega", str(omega), "--out", str(out)]) == EXIT_OK
+        got = out.read_text() if fmt == "json" else read_csv(out)
+        assert got == scaled_energies(unit, fmt, omega)
+
+
+def test_error_map_bounds_are_in_units_of_omega(tmp_path, capsys):
+    out = tmp_path / "emap.csv"
+    grid = ["error-map", "--model", "stark", "--delta", "1", "--out", str(out)]
+    assert main([*grid, "--omega", "0.7", "--scan", "g=0.1:0.2:0.1",
+                 "--scan", "u=1.8:2.0:0.1"]) == EXIT_OK
+    assert max(float(r[1]) for r in read_csv(out)[1:]) == pytest.approx(2.0)
+    out.unlink()
+    assert main([*grid, "--omega", "2", "--scan", "g=0.1:0.7:0.3",
+                 "--scan", "u=0:1:0.5"]) == EXIT_VALIDATION
+    assert "g grid must lie within 0 < g <= 0.6 omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega, message", [
+    ("nan", "omega must be finite, got nan"),
+    ("inf", "omega must be finite, got inf"),
+    ("0", "--omega must be positive, got 0.0"),
+    ("-1", "--omega must be positive, got -1.0"),
+])
+def test_bad_omega_is_a_validation_error(omega, message, tmp_path, capsys):
+    code = main(["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--omega", omega,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"rabistark: validation error: {message}\n"
 
 
 def test_point_without_analytic_ladder_keeps_its_numeric_rows(tmp_path):

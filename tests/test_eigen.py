@@ -208,6 +208,19 @@ def test_undetermined_when_budget_too_small():
     assert report.classification is Classification.UNDETERMINED
 
 
+def test_slow_convergence_that_spends_the_budget_is_undetermined():
+    # at u = 2 omega the ground drops stay above 10 tol up to the last cutoff
+    # but shrink on every doubling (4.4e-4 down to 1.4e-7): slow convergence,
+    # not divergence
+    p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=Variant.RABI_STARK)
+    spec, report = converged_spectrum(p, 4, tol=1e-8)
+    assert report.classification is Classification.UNDETERMINED
+    assert spec.cutoff == report.final_cutoff == 32_768
+    ground = np.array([energies[0] for _, energies in report.history])
+    drops = -np.diff(ground)
+    assert (drops[-3:] > 10 * report.tolerance).all() and (np.diff(drops) < 0).all()
+
+
 def test_parity_doublet_is_not_collapse():
     # the Rabi model's Z2 doublet has one level per parity sector and closes
     # exponentially in g; collapse stacks many levels inside each sector
@@ -249,7 +262,7 @@ def test_sorted_energies_invariant():
     p = ModelParams(delta=1.0, g=0.4, u=1.8, variant=Variant.RABI_STARK)
     spec, _ = converged_spectrum(p, 10, tol=1e-8)
     assert np.all(np.diff(spec.energies) >= 0)
-    assert spec.k_requested == 10 and len(spec.energies) == 10
+    assert len(spec.energies) == 10
 
 
 def test_solver_paths_leave_scipy_optimize_unloaded():

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import oracle
 from rabistark.eigen import eigen_symmetric, spectrum_at_cutoff
-from rabistark.fockspace import ModelParams, Variant, build_chains, build_hamiltonian
+from rabistark.fockspace import (
+    DEFAULT_MAX_DIM,
+    ModelParams,
+    Variant,
+    build_chains,
+    build_hamiltonian,
+)
 
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -196,7 +202,10 @@ def test_parity_sector_is_tridiagonal():
 
 def test_dimension_overflow_guard():
     p = ModelParams()
-    with pytest.raises(ValueError):
-        build_hamiltonian(p, 10, parity=+1, max_dim=20)
+    # 2 (cutoff + 1) = 200,002 states is past DEFAULT_MAX_DIM, refused before
+    # any array is allocated; one cutoff less fits
+    with pytest.raises(ValueError, match=f"exceeds the configured maximum {DEFAULT_MAX_DIM}"):
+        build_hamiltonian(p, 100_000, parity=+1)
+    assert build_hamiltonian(p, 99_999, parity=+1).dim == DEFAULT_MAX_DIM // 2
     with pytest.raises(ValueError):
         build_hamiltonian(p, 0, parity=+1)

@@ -36,6 +36,14 @@ def test_mean_photon_refuses_unbounded():
         mean_photon_ground(p, max_cutoff=2048)
 
 
+def test_mean_photon_refuses_an_undetermined_spectrum():
+    # at u = 2 omega the ground level is still moving at cutoff 64
+    p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=STARK)
+    with pytest.raises(DivergentSpectrumError, match="u = 2.0, kappa = 0.0 did not converge "
+                       "by cutoff 64"):
+        mean_photon_ground(p, max_cutoff=64)
+
+
 def test_mean_photon_matches_displacement_occupation():
     # in the CO regime before the first edge the ground state carries
     # lambda^2 photons
