@@ -162,6 +162,8 @@ def spec_from_args(args) -> SweepSpec:
         raise ValidationFailure(f"--levels must be >= 1, got {args.levels}")
     if args.tol <= 0:
         raise ValidationFailure(f"--tol must be > 0, got {args.tol}")
+    if not math.isfinite(args.tol):
+        raise ValidationFailure(f"--tol must be finite, got {args.tol}")
     if args.workers < 1:
         raise ValidationFailure(f"--workers must be >= 1, got {args.workers}")
     if args.cutoff is not None and args.cutoff < 1:

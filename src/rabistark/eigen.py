@@ -11,12 +11,16 @@ CollapsedDegenerate, the numerical signature of spectral collapse at
 u = 2 omega (a Z2 parity doublet has one level per sector).
 """
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.metadata import version
+from importlib.util import find_spec, module_from_spec, spec_from_loader
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dstebz, dstein
 
 # build_hamiltonian stays importable for perfbench/spans.py
 from .fockspace import HamiltonianMatrix, ModelParams, build_chains, build_hamiltonian  # noqa: F401
@@ -28,6 +32,42 @@ DEFAULT_MAX_CUTOFF = 32_768
 
 RESIDUAL_SCALE = 1e-8
 NORM_TOL = 1e-10
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(linalg_dir: Path) -> ModuleType:
+    """scipy's LAPACK extension module, loaded from its file in linalg_dir
+    without running scipy/linalg/__init__.py, whose imports cost more than
+    the solves of a typical run.  scipy.linalg.lapack wraps this same
+    module, so a later import of scipy.linalg reuses it and every bit is
+    the same.  The file layout is private to scipy: a missing file is an
+    ImportError naming the directory searched."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    for path in (linalg_dir / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = ExtensionFileLoader(_FLAPACK, str(path))
+            module = module_from_spec(spec_from_loader(_FLAPACK, loader))
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    raise ImportError(f"no {_FLAPACK} extension in {linalg_dir} (scipy {version('scipy')})")
+
+
+_flapack = _load_flapack(Path(find_spec("scipy").submodule_search_locations[0], "linalg"))
+dstebz, dstein = _flapack.dstebz, _flapack.dstein
+
+
+def _chain_product(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for the chain whose diagonal is band[0] and off-diagonal band[1, :-1]
+    (empty for a one-site chain)."""
+    off = band[1, :-1]
+    hv = band[0] * v
+    hv[1:] += off * v[:-1]
+    hv[:-1] += off * v[1:]
+    return hv
 
 
 class SolverError(RuntimeError):
@@ -72,8 +112,8 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
     per-call argument handling; one-site chains go through the same calls.
     Eigenvalues come back ascending.  When vectors are requested they are
     checked against the residual contract ||H v - E v|| <= 1e-8 (1 + |E|),
-    with H v a band product, and normalized with a fixed sign convention
-    (largest-magnitude component positive).
+    with H v a numpy chain product, and normalized with a fixed sign
+    convention (largest-magnitude component positive).
     """
     if not (isinstance(h, HamiltonianMatrix) and h.band.shape[:-1] == (2,)):
         shape = np.shape(h.band if isinstance(h, HamiltonianMatrix) else h)
@@ -111,7 +151,7 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
             norm = np.linalg.norm(v)
             if abs(norm - 1.0) > NORM_TOL:
                 raise SolverError(f"eigenvector {j} norm {norm} violates unit-norm contract")
-            resid = np.linalg.norm(dsbmv(1, 1.0, band, v, lower=1) - energies[j] * v)
+            resid = np.linalg.norm(_chain_product(band, v) - energies[j] * v)
             bound = RESIDUAL_SCALE * (1.0 + abs(energies[j]))
             if resid > bound:
                 raise SolverError(
@@ -166,8 +206,8 @@ def converged_spectrum(
                          shrinking (shrinking drops are slow convergence)
       Undetermined       budget exhausted without meeting any rule
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 

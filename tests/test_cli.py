@@ -179,6 +179,23 @@ def test_collapse_check_slow_convergence_is_undetermined(tmp_path):
     assert int(rows[-1][0]) == 32_768
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "--tol must be finite, got nan"),
+    ("inf", "--tol must be finite, got inf"),
+    ("-inf", "--tol must be > 0, got -inf"),
+    ("0", "--tol must be > 0, got 0.0"),
+])
+def test_bad_tol_is_a_validation_error(tol, message, tmp_path, capsys):
+    # refused before any solve: with NaN no drift would ever pass and the
+    # schedule would run to cutoff 32768; with inf the second cutoff would
+    out = tmp_path / "o.csv"
+    code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",
+                 "--capital-u", "1.0", "--levels", "2", f"--tol={tol}", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"rabistark: validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_collapse_check_fixed_cutoff_writes_one_block(tmp_path):
     out = tmp_path / "fixed.csv"
     code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",

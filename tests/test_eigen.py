@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dsbmv
 
 import oracle
 import rabistark
@@ -44,11 +45,11 @@ def test_one_by_one_block():
 
 
 @st.composite
-def chains(draw):
+def chains(draw, min_dim=2):
     """(d, e) of a random symmetric tridiagonal chain; some off-diagonals
     are zero or tiny enough for LAPACK to split the chain there, and some
     diagonals are rounded to integers so that levels cluster."""
-    dim = draw(st.integers(2, 400))
+    dim = draw(st.integers(min_dim, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 50.0])), size=dim)
     if draw(st.booleans()):
@@ -90,6 +91,32 @@ def test_chain_solver_failures_raise_solver_error(monkeypatch):
     monkeypatch.setattr(eigen, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 2))
     with pytest.raises(SolverError, match="dstein"):
         eigen_symmetric(h, 2, want_vectors=True)
+
+
+def test_residual_and_norm_guards_raise_solver_error(monkeypatch):
+    h = build_hamiltonian(ModelParams(delta=1.0, g=0.3, u=0.5), 20, parity=+1)
+    flat = np.full(h.dim, h.dim**-0.5)  # unit norm, but the chain couples its sites
+    monkeypatch.setattr(eigen, "dstein", lambda d, e, w, *a: (np.tile(flat, (w.size, 1)).T, 0))
+    with pytest.raises(SolverError, match="residual"):
+        eigen_symmetric(h, 1, want_vectors=True)
+    doubled = np.zeros(h.dim)
+    doubled[0] = 2.0
+    monkeypatch.setattr(eigen, "dstein", lambda d, e, w, *a: (np.tile(doubled, (w.size, 1)).T, 0))
+    with pytest.raises(SolverError, match="unit-norm"):
+        eigen_symmetric(h, 1, want_vectors=True)
+
+
+@given(de=chains(min_dim=1), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_chain_product_matches_band_matrix_vector_product(de, seed):
+    # the residual check's H v against the BLAS band product it replaced
+    d, e = de
+    h = chain(d, e)
+    v = np.random.default_rng(seed).normal(size=h.dim)
+    v /= np.linalg.norm(v)
+    ref = dsbmv(1, 1.0, h.band, v, lower=1)
+    scale = np.abs(d).max() + np.abs(e).max(initial=0.0)
+    assert np.abs(eigen._chain_product(h.band, v) - ref).max() <= 1e-15 * scale
 
 
 def test_non_finite_chain_entries_are_refused():
@@ -170,6 +197,14 @@ def test_k_bounds_validated():
     for other in (np.eye(2), HamiltonianMatrix(band=np.zeros((4, 10)), cutoff=4, parity=+1)):
         with pytest.raises(ValueError, match="parity-sector chain"):
             eigen_symmetric(other, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    # no drift is <= NaN (the schedule would run to its end) and every
+    # drift is <= inf (the second cutoff would pass whatever it moved)
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        converged_spectrum(ModelParams(delta=1.0, g=0.2, u=1.0), 2, tol=tol)
 
 
 def test_decoupled_spectrum_matches_diagonal():
@@ -278,3 +313,48 @@ def test_solver_paths_leave_scipy_optimize_unloaded():
     src = str(Path(rabistark.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _run_fresh(code: str) -> None:
+    src = str(Path(rabistark.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_solver_paths_leave_scipy_linalg_unloaded():
+    # importing scipy.linalg costs more than every solve of a typical run;
+    # the LAPACK extension is loaded from its file instead
+    _run_fresh(
+        "import sys, rabistark as r\n"
+        "p = r.ModelParams(delta=1.0, g=0.2, kappa=0.1, variant=r.Variant.COMPLETED)\n"
+        "r.converged_spectrum(p, 4)\n"
+        "r.mean_photon_ground(p)\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+
+
+def test_later_scipy_linalg_import_reuses_the_lapack_module():
+    _run_fresh(
+        "import numpy as np\n"
+        "import rabistark as r\n"
+        "from rabistark import eigen\n"
+        "h = r.build_hamiltonian(r.ModelParams(delta=1.0, g=0.4, u=1.5), 60, parity=-1)\n"
+        "spec = eigen.eigen_symmetric(h, 5, want_vectors=True)\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg.lapack.dstebz is eigen.dstebz\n"
+        "assert scipy.linalg.lapack.dstein is eigen.dstein\n"
+        "w, v = scipy.linalg.eigh_tridiagonal(h.band[0], h.band[1, :-1], select='i',\n"
+        "                                     select_range=(0, 4))\n"
+        "v[:, v[np.argmax(np.abs(v), axis=0), np.arange(5)] < 0] *= -1.0\n"
+        "assert np.array_equal(spec.energies, w) and np.array_equal(spec.vectors, v)\n"
+    )
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError) as excinfo:
+        eigen._load_flapack(tmp_path)
+    assert str(tmp_path) in str(excinfo.value)
+    assert f"scipy {scipy.__version__}" in str(excinfo.value)
