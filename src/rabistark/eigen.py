@@ -18,7 +18,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.metadata import version
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
-from types import ModuleType
 
 import numpy as np
 
@@ -34,26 +33,24 @@ RESIDUAL_SCALE = 1e-8
 NORM_TOL = 1e-10
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_flapack(linalg_dir: Path) -> ModuleType:
-    """scipy's LAPACK extension module, loaded from its file in linalg_dir
-    without running scipy/linalg/__init__.py, whose imports cost more than
-    the solves of a typical run.  scipy.linalg.lapack wraps this same
-    module, so a later import of scipy.linalg reuses it and every bit is
-    the same.  The file layout is private to scipy: a missing file is an
-    ImportError naming the directory searched."""
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
+def _load_flapack(linalg_dir: Path):
+    """scipy's LAPACK extension, the module scipy.linalg.lapack wraps, loaded
+    from its file in linalg_dir without running scipy/linalg/__init__.py,
+    whose imports cost more than the solves of a typical run.  It is
+    registered under its own name, so a later import of scipy.linalg reuses
+    it and every bit is the same."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
     for path in (linalg_dir / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES):
         if path.is_file():
-            loader = ExtensionFileLoader(_FLAPACK, str(path))
-            module = module_from_spec(spec_from_loader(_FLAPACK, loader))
+            loader = ExtensionFileLoader(name, str(path))
+            module = module_from_spec(spec_from_loader(name, loader))
             loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
+            sys.modules[name] = module
             return module
-    raise ImportError(f"no {_FLAPACK} extension in {linalg_dir} (scipy {version('scipy')})")
+    # the file layout is private to scipy, so a change of it is named here
+    raise ImportError(f"no {name} extension in {linalg_dir} (scipy {version('scipy')})")
 
 
 _flapack = _load_flapack(Path(find_spec("scipy").submodule_search_locations[0], "linalg"))

@@ -188,6 +188,7 @@ def test_collapse_check_slow_convergence_is_undetermined(tmp_path):
 def test_bad_tol_is_a_validation_error(tol, message, tmp_path, capsys):
     # refused before any solve: with NaN no drift would ever pass and the
     # schedule would run to cutoff 32768; with inf the second cutoff would
+    # pass whatever it moved
     out = tmp_path / "o.csv"
     code = main(["collapse-check", "--model", "stark", "--delta", "1", "--g", "0.2",
                  "--capital-u", "1.0", "--levels", "2", f"--tol={tol}", "--out", str(out)])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
@@ -351,8 +352,6 @@ def test_later_scipy_linalg_import_reuses_the_lapack_module():
 
 
 def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
-    import scipy
-
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     with pytest.raises(ImportError) as excinfo:
         eigen._load_flapack(tmp_path)
