@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import Classification, converged_spectrum
+from .eigen import DEFAULT_TOL, converged_spectrum
 from .fockspace import ModelParams, Variant
-from .specialfn import displacement_kernels, laguerre_lanes
+from .specialfn import displacement_kernels, kernels_from_laguerre, laguerre_lanes
 # the scalar kernels stay importable here for perfbench/spans.py
 from .specialfn import assoc_laguerre1, f1, g0, laguerre  # noqa: F401
 
@@ -187,8 +187,8 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     All lanes scan together in rounds of at most _SCAN_CHUNK grid steps and
     _LANE_BUDGET residual evaluations; a lane leaves the scan at the end of
     the round that holds its sign change.  A round reads the kernels from
-    one Laguerre table over its grid points, with the float64 expressions of
-    displacement_kernels, bit for bit; refinement steps call the latter.
+    one Laguerre table over its grid points through kernels_from_laguerre,
+    as displacement_kernels does, bit for bit; refinement steps call the latter.
     """
     size = lanes.n.size
 
@@ -200,8 +200,8 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
                 kernels = displacement_kernels(sub.n, x)
             else:  # table: its first degree, L and L^1 by (degree, grid point)
                 first, ln, l1n = table
-                e, at = np.exp(-2.0 * x * x), (sub.n - first, cols[piece])
-                kernels = ln[at] * e, 2.0 * x * l1n[at] * e / (sub.n + 1)
+                at = (sub.n - first, cols[piece])
+                kernels = kernels_from_laguerre(sub.n, x, ln[at], l1n[at])
             out[piece] = _residual(sub, x, *kernels)
         return out
 
@@ -646,7 +646,7 @@ def error_map(
     params_base: ModelParams,
     g_grid,
     u_grid,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     max_cutoff: int = 4096,
 ) -> list[ErrorMapPoint]:
     """Ground-state error of the analytic solution over a (g, u) grid.
@@ -677,10 +677,7 @@ def error_map(
             [np.inf] + [float(solved.energies[i, 0]) for i in lanes if solved.failures[i] is None]
         )
         spec, report = converged_spectrum(p, 1, tol=tol, max_cutoff=max_cutoff)
-        settled = report.classification in (
-            Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE
-        )
-        e_num = float(spec.energies[0]) if settled else np.nan
+        e_num = float(spec.energies[0]) if report.classification.settled else np.nan
         e_an = min(e0, block_min)
         region = "I" if e0 <= block_min else "II"
         crossing = prev_region not in ("", region)

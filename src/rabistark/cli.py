@@ -33,6 +33,7 @@ from .analytic import (
 from .colimit import CO_MIN_RATIO, CoRegimeError, crossing_ladder
 # eigen_symmetric and build_hamiltonian stay importable for perfbench/spans.py
 from .eigen import (  # noqa: F401
+    DEFAULT_TOL,
     Classification,
     SolverError,
     converged_spectrum,
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=float, default=0.0)
         p.add_argument("--cutoff", type=int, default=None)
         p.add_argument("--levels", type=int, default=6)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--scan", action="append", default=[])
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.metadata import version
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 
@@ -50,6 +49,7 @@ def _load_flapack(linalg_dir: Path):
             sys.modules[name] = module
             return module
     # the file layout is private to scipy, so a change of it is named here
+    from importlib.metadata import version
     raise ImportError(f"no {name} extension in {linalg_dir} (scipy {version('scipy')})")
 
 
@@ -76,6 +76,10 @@ class Classification(str, Enum):
     COLLAPSED_DEGENERATE = "CollapsedDegenerate"
     UNBOUNDED_BELOW = "UnboundedBelow"
     UNDETERMINED = "Undetermined"
+
+    @property
+    def settled(self) -> bool:
+        return self in (Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE)
 
 
 @dataclass
@@ -223,12 +227,10 @@ def converged_spectrum(
             drops.append(prev[0] - spec.energies[0])
             if drift <= tol:
                 e0 = spec.energies[0]
-                spread = float(spec.energies[-1] - e0)
                 stacked = any(len(s) > 1 and s[1] - e0 <= degeneracy_window for s in spec.sectors)
+                collapsed = spec.energies[-1] - e0 <= degeneracy_window and stacked
                 classification = (
-                    Classification.COLLAPSED_DEGENERATE
-                    if spread <= degeneracy_window and stacked
-                    else Classification.CONVERGED
+                    Classification.COLLAPSED_DEGENERATE if collapsed else Classification.CONVERGED
                 )
                 break
             if (
@@ -244,7 +246,7 @@ def converged_spectrum(
             f"empty cutoff schedule: start_cutoff={start_cutoff} exceeds "
             f"max_cutoff={max_cutoff}"
         )
-    report = ConvergenceReport(
+    return spec, ConvergenceReport(
         classification=classification,
         final_cutoff=spec.cutoff,
         history=history,
@@ -252,4 +254,3 @@ def converged_spectrum(
         drift_rate=drift_rate,
         degeneracy_window=degeneracy_window,
     )
-    return spec, report

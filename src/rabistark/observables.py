@@ -9,8 +9,8 @@ import numpy as np
 
 from .analytic import refine_bracket
 from .colimit import check_co_regime
-from .eigen import DEFAULT_MAX_CUTOFF, Classification, converged_spectrum, eigen_symmetric
-from .eigen import spectrum_at_cutoff
+from .eigen import DEFAULT_MAX_CUTOFF, DEFAULT_START_CUTOFF, DEFAULT_TOL, Classification
+from .eigen import _doubling_schedule, converged_spectrum, eigen_symmetric, spectrum_at_cutoff
 from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
@@ -34,11 +34,10 @@ def initial_cutoff(params: ModelParams) -> int:
     times that so the adaptive tail check rarely has to re-solve.
     """
     kappa = params.effective_kappa
-    if kappa > 0.0:
-        n_star = (params.effective_u - 2.0 * params.omega - 2.0 * kappa) / (4.0 * kappa)
-        if n_star > 0.0:
-            return max(32, 4 * math.ceil(n_star))
-    return 32
+    if kappa <= 0.0:
+        return DEFAULT_START_CUTOFF
+    n_star = (params.effective_u - 2.0 * params.omega - 2.0 * kappa) / (4.0 * kappa)
+    return max(DEFAULT_START_CUTOFF, 4 * math.ceil(n_star))
 
 
 def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, float]:
@@ -66,12 +65,12 @@ def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, flo
     return float(x[0]), abs(float(fx[0]))
 
 
-def _refuse_unsettled(report, where: str, max_cutoff: int) -> None:
-    """DivergentSpectrumError unless the spectrum of report converged."""
+def _refuse_unsettled(report, where: str) -> None:
+    """DivergentSpectrumError unless the spectrum of report settled."""
     if report.classification is Classification.UNBOUNDED_BELOW:
         raise DivergentSpectrumError(f"{where} is unbounded from below")
-    if report.classification is Classification.UNDETERMINED:
-        raise DivergentSpectrumError(f"{where} did not converge by cutoff {max_cutoff}")
+    if not report.classification.settled:
+        raise DivergentSpectrumError(f"{where} did not converge by cutoff {report.final_cutoff}")
 
 
 def _mean_photon_detail(
@@ -83,27 +82,25 @@ def _mean_photon_detail(
         params, k=1, tol=tol, max_cutoff=max_cutoff, start_cutoff=start_cutoff
     )
     where = f"spectrum at u = {params.effective_u}, kappa = {params.effective_kappa}"
-    _refuse_unsettled(report, where, max_cutoff)
+    _refuse_unsettled(report, where)
 
     # the ground state lives in the sector chain with the lower ground level
     # (+1 on a tie), and chain site n carries n photons
     plus, minus = spec.sectors
-    parity = +1 if plus[0] <= minus[0] else -1
-    cutoff, h = spec.cutoff, spec.chains[0 if parity > 0 else 1]
-    while True:
+    h = spec.chains[0 if plus[0] <= minus[0] else 1]
+    for cutoff in _doubling_schedule(spec.cutoff, max_cutoff, 1):
+        if cutoff > spec.cutoff:
+            h = build_hamiltonian(params, cutoff, parity=h.parity)
         occ = eigen_symmetric(h, 1, want_vectors=True).vectors[:, 0] ** 2
         if occ[-2:].sum() < TAIL_TOL:  # top two Fock levels
             return float(occ @ np.arange(cutoff + 1)), cutoff
-        cutoff *= 2
-        if cutoff > max_cutoff:
-            raise DivergentSpectrumError(
-                f"Fock tail does not fall below {TAIL_TOL} within cutoff {max_cutoff}"
-            )
-        h = build_hamiltonian(params, cutoff, parity=parity)
+    raise DivergentSpectrumError(
+        f"Fock tail does not fall below {TAIL_TOL} within cutoff {max_cutoff}"
+    )
 
 
 def mean_photon_ground(
-    params: ModelParams, tol: float = 1e-8, max_cutoff: int = DEFAULT_MAX_CUTOFF
+    params: ModelParams, tol: float = DEFAULT_TOL, max_cutoff: int = DEFAULT_MAX_CUTOFF
 ) -> float:
     """<a^dag a> in the converged ground state.
 
@@ -112,8 +109,7 @@ def mean_photon_ground(
     with DivergentSpectrumError when the spectrum is unbounded below
     (original model past the collapse point) or did not converge by max_cutoff.
     """
-    value, _ = _mean_photon_detail(params, tol, None, max_cutoff)
-    return value
+    return _mean_photon_detail(params, tol, None, max_cutoff)[0]
 
 
 @dataclass
@@ -132,7 +128,7 @@ class StaircaseReport:
 def staircase_scan(
     params: ModelParams,
     u_values,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     allow_small_ratio: bool = False,
     workers: int = 1,
     start_cutoff: int | None = None,
@@ -195,8 +191,7 @@ def staircase_scan(
     fitted_slope = float("nan")
     fit_window = (float("nan"), float("nan"))
     if len(edges) >= 2:
-        mean_width = float(np.mean(widths)) if widths else expected_width
-        window_lo = edges[0] + mean_width
+        window_lo = edges[0] + float(np.mean(widths))
         window_hi = edges[-1]
         fit_window = (window_lo, window_hi)
         midline = []
@@ -257,7 +252,7 @@ def detect_level_crossings(
     for v in values:
         p = dc_replace(params, **{param_name: float(v)})
         spec, report = converged_spectrum(p, k=levels)
-        _refuse_unsettled(report, f"sweep point {param_name} = {v}", DEFAULT_MAX_CUTOFF)
+        _refuse_unsettled(report, f"sweep point {param_name} = {v}")
         sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)
 

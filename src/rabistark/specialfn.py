@@ -125,12 +125,17 @@ def _check_shifts(lam) -> np.ndarray:
     return lam
 
 
+def kernels_from_laguerre(n, lam, ln, l1n) -> tuple[np.ndarray, np.ndarray]:
+    """g0 and f1 for each lane (n, lam) from its L_n(4 lam^2) and L^1_n(4 lam^2)."""
+    e = np.exp(-2.0 * lam * lam)
+    return ln * e, 2.0 * lam * l1n * e / (n + 1)
+
+
 def displacement_kernels(n, lam) -> tuple[np.ndarray, np.ndarray]:
     """g0 and f1 for each lane (n, lam), from one recurrence pass."""
     lam = _check_shifts(lam)
     ln, l1n = laguerre_lanes(n, 4.0 * lam * lam)
-    e = np.exp(-2.0 * lam * lam)
-    return ln[0] * e, 2.0 * lam * l1n[0] * e / (np.asarray(n).ravel() + 1)
+    return kernels_from_laguerre(np.asarray(n).ravel(), lam, ln[0], l1n[0])
 
 
 def g0(n: int, lam: float) -> float:

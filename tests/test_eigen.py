@@ -270,6 +270,10 @@ def test_parity_doublet_is_not_collapse():
     assert report.classification is Classification.COLLAPSED_DEGENERATE
 
 
+def test_settled_means_converged_or_collapsed_degenerate():
+    assert [c.value for c in Classification if c.settled] == ["Converged", "CollapsedDegenerate"]
+
+
 def test_spectrum_keeps_its_sector_levels():
     p = ModelParams(delta=1.0, g=0.4, u=1.2, variant=Variant.RABI_STARK)
     spec = spectrum_at_cutoff(p, 20, 7)
@@ -331,6 +335,7 @@ def test_solver_paths_leave_scipy_linalg_unloaded():
         "r.converged_spectrum(p, 4)\n"
         "r.mean_photon_ground(p)\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata was imported'\n"
     )
 
 

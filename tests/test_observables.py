@@ -44,6 +44,13 @@ def test_mean_photon_refuses_an_undetermined_spectrum():
         mean_photon_ground(p, max_cutoff=64)
 
 
+def test_refusal_names_the_last_cutoff_solved():
+    # the doubling 32, 64 stops below max_cutoff = 100
+    p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=STARK)
+    with pytest.raises(DivergentSpectrumError, match="did not converge by cutoff 64$"):
+        mean_photon_ground(p, max_cutoff=100)
+
+
 def test_mean_photon_matches_displacement_occupation():
     # in the CO regime before the first edge the ground state carries
     # lambda^2 photons
@@ -153,7 +160,11 @@ def test_crossing_scan_refuses_an_undetermined_point(monkeypatch):
         def solve(params, **kwargs):
             spec, report = real(params, **kwargs)
             if params.u == u:
-                report = dc_replace(report, classification=eigen.Classification.UNDETERMINED)
+                report = dc_replace(
+                    report,
+                    classification=eigen.Classification.UNDETERMINED,
+                    final_cutoff=eigen.DEFAULT_MAX_CUTOFF,
+                )
             return spec, report
         return solve
 
