@@ -49,7 +49,7 @@ def _load_flapack(linalg_dir: Path):
             sys.modules[name] = module
             return module
     # the file layout is private to scipy, so a change of it is named here
-    from importlib.metadata import version
+    from importlib.metadata import version  # imported here: only this path needs it
     raise ImportError(f"no {name} extension in {linalg_dir} (scipy {version('scipy')})")
 
 
