@@ -13,7 +13,8 @@ SCRIPTS runs from the tree's root; a script's output files are those in
 out/ that it wrote.  A run is the same when its output files, stdout,
 stderr and exit code are byte-identical in both trees, with
 the tree's and the scratch directory's paths in stdout and stderr replaced
-by placeholders (the scripts print where they wrote).
+by placeholders (a refusal can name the --out directory, and the scripts of
+older trees print absolute paths).
 The script prints one line per run and a summary, lists every difference,
 and exits 1 when there is any.
 """
@@ -74,11 +75,20 @@ CASES = [
     ("refused_scan", ["spectrum", *_STARK, "--scan", "u=-inf:0:1"], "csv"),
     ("refused_omega", ["spectrum", *_STARK, "--scan", "u=0:1:0.5", "--omega", "nan"], "csv"),
     ("refused_model", ["spectrum", "--model", "bogus", "--scan", "u=0:1:0.5"], "csv"),
-    # more levels than the chains hold: spectrum_at_cutoff raises inside the sweep
-    ("solver_failure", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
+    # an option co-ladder does not read
+    ("refused_unread_option", ["co-ladder", "--model", "completed", "--kappa", "0.05",
+                               "--levels", "6", "--tol", "3"], "csv"),
+    # more levels than the chains hold at --cutoff 10: refused before any solve
+    ("refused_levels", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                         "--levels", "200001"], "csv"),
-    ("solver_failure_json", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
+    ("refused_levels_json", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                              "--levels", "200001", "--format", "json"], "json"),
+    # kappa n^2 overflows the chain diagonal: eigen_symmetric raises inside the sweep
+    ("solver_failure", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
+                        "--kappa", "1e305", "--scan", "u=0:0.2:0.1"], "csv"),
+    ("solver_failure_json", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
+                             "--kappa", "1e305", "--scan", "u=0:0.2:0.1", "--format", "json"],
+     "json"),
 ]
 SCRIPTS = ["collapse_cutoff_study.py", "ground_energy_error_map.py",
            "spectrum_vs_stark_coupling.py", "staircase_scan_co_limit.py"]

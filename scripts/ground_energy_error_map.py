@@ -12,7 +12,8 @@ import os
 
 from rabistark import ModelParams, Variant, error_map
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "out")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+OUT = os.path.join(ROOT, "out")
 
 G_GRID = [0.05 * i for i in range(1, 13)]   # 0.05 .. 0.60
 U_GRID = [0.1 * i for i in range(0, 21)]    # 0.0 .. 2.0
@@ -29,7 +30,7 @@ if __name__ == "__main__":
             writer.writerow([pt.g, pt.u, pt.e_analytic, pt.e_numeric,
                              pt.delta_e, pt.region, int(pt.crossing)])
     boundary = [(pt.g, pt.u) for pt in points if pt.crossing]
-    print(f"wrote {out_path} ({len(points)} points)")
+    print(f"wrote {os.path.relpath(out_path, ROOT)} ({len(points)} points)")
     print("region I/II boundary points (g, u):")
     for g, u in boundary:
         print(f"    ({g:.2f}, {u:.2f})")

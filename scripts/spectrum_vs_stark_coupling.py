@@ -12,7 +12,8 @@ import os
 
 from rabistark.cli import main
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "out")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+OUT = os.path.join(ROOT, "out")
 
 if __name__ == "__main__":
     os.makedirs(OUT, exist_ok=True)
@@ -29,4 +30,4 @@ if __name__ == "__main__":
             "--out", out_path,
         ]
     )
-    print(f"wrote {out_path} (exit {code})")
+    print(f"wrote {os.path.relpath(out_path, ROOT)} (exit {code})")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .eigen import DEFAULT_TOL, converged_spectrum
 from .fockspace import ModelParams, Variant
-from .specialfn import displacement_kernels, kernels_from_laguerre, laguerre_lanes
+from .specialfn import MAX_DEGREE, displacement_kernels, kernels_from_laguerre, laguerre_lanes
 # the scalar kernels stay importable here for perfbench/spans.py
 from .specialfn import assoc_laguerre1, f1, g0, laguerre  # noqa: F401
 
@@ -547,9 +547,18 @@ def analytic_ground_energy(params: ModelParams) -> float:
     return _ground_energy(params, solve_lambda(params, 0, -1))
 
 
-def _ladder_labels(n_max: int) -> list[tuple[int, int]]:
+def check_ladder(n_max: int) -> None:
+    """Refuses an n_max < 0, or one whose top block reads the Laguerre
+    degree n_max + 2 (_jc_blocks) past MAX_DEGREE; _ladder_labels and the
+    CLI check it here, before any lambda is solved."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max + 2 > MAX_DEGREE:
+        raise ValueError(f"degree {n_max + 2} exceeds supported maximum {MAX_DEGREE}")
+
+
+def _ladder_labels(n_max: int) -> list[tuple[int, int]]:
+    check_ladder(n_max)
     return [(n, t_z) for n in range(n_max + 1) for t_z in (+1, -1)]
 
 

@@ -10,8 +10,13 @@ accepted for compatibility and changes nothing) and every float is written
 with 17 significant digits, so identical invocations produce byte-identical
 files.
 
-Exit codes: 0 success, 2 validation error, 3 solver failure (partial output
-flushed with an incompleteness trailer), 4 divergence-dominated sweep.
+Each subcommand registers only the options it reads (_SUBCOMMANDS); any
+other option is refused.  Every input the solvers would refuse is refused
+before any solve, mostly by the solvers' own checks.
+
+Exit codes: 0 success, 2 input refused before any solve (no output file
+written), 3 an error raised inside a solver (partial output flushed with an
+incompleteness trailer), 4 divergence-dominated sweep.
 """
 
 import argparse
@@ -24,30 +29,29 @@ import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace as dc_replace
 
-from .analytic import (
-    LambdaSolveError,
-    RegimeViolationError,
-    analytic_ladders,
-    error_map,
-)
-from .colimit import CO_MIN_RATIO, CoRegimeError, crossing_ladder
+from .analytic import LambdaSolveError, analytic_ladders, check_ladder, error_map
+from .colimit import CO_MIN_RATIO, crossing_ladder
 # eigen_symmetric and build_hamiltonian stay importable for perfbench/spans.py
 from .eigen import (  # noqa: F401
+    DEFAULT_MAX_CUTOFF,
+    DEFAULT_START_CUTOFF,
     DEFAULT_TOL,
     Classification,
-    SolverError,
+    _doubling_schedule,
+    check_levels,
     converged_spectrum,
     eigen_symmetric,
     spectrum_at_cutoff,
 )
-from .fockspace import ModelParams, Variant, build_hamiltonian  # noqa: F401
-from .observables import DivergentSpectrumError, ResolutionError, staircase_scan
+from .fockspace import ModelParams, Variant, build_hamiltonian, check_cutoff  # noqa: F401
+from .observables import staircase_grid, staircase_scan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
-MAX_SCAN_POINTS = 100_000  # per --scan axis and per error-map grid, refused before any solve
+# per --scan axis, per error-map grid and per co-ladder, refused before any solve
+MAX_SCAN_POINTS = 100_000
 CSV_ROWS_PER_WRITE = 256  # records formatted and written at a time
 
 SPECTRUM_COLUMNS = ["sweep_value", "level_index", "energy", "source", "cutoff", "classification"]
@@ -55,6 +59,45 @@ COLLAPSE_COLUMNS = ["cutoff", "level_index", "energy", "classification"]
 ERRORMAP_COLUMNS = ["g", "u", "e_analytic", "e_numeric", "delta_e", "region", "crossing_flag"]
 STAIRCASE_COLUMNS = ["u", "mean_photon", "renorm_mean_photon"]
 COLADDER_COLUMNS = ["n", "u_crossing"]
+
+# every option, in the order --help lists them
+_OPTIONS = {
+    "--model": dict(required=True, choices=sorted(v.value for v in Variant)),
+    "--omega": dict(type=float, default=1.0),
+    "--delta": dict(type=float, default=1.0),
+    "--g": dict(type=float, default=0.0),
+    "--capital-u": dict(type=float, default=0.0),
+    "--kappa": dict(type=float, default=0.0),
+    "--cutoff": dict(type=int, default=None),
+    "--levels": dict(type=int, default=6),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--scan": dict(action="append", default=[]),
+    "--out": dict(required=True),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--workers": dict(type=int, default=os.cpu_count() or 1),
+}
+_COMMON_OPTIONS = ("--model", "--omega", "--out", "--format", "--workers")
+# subcommand: help text, and the options it reads besides _COMMON_OPTIONS
+_SUBCOMMANDS = {
+    "spectrum": ("numeric + analytic levels along one coupling scan",
+                 ("--delta", "--g", "--capital-u", "--kappa", "--cutoff", "--levels", "--tol",
+                  "--scan")),
+    "scan-g": ("spectrum scan over the Rabi coupling g",
+               ("--delta", "--capital-u", "--kappa", "--cutoff", "--levels", "--tol", "--scan")),
+    "scan-u": ("spectrum scan over the Stark coupling u",
+               ("--delta", "--g", "--kappa", "--cutoff", "--levels", "--tol", "--scan")),
+    "collapse-check": ("cutoff-doubling history and convergence classification",
+                       ("--delta", "--g", "--capital-u", "--kappa", "--cutoff", "--levels",
+                        "--tol")),
+    "error-map": ("analytic vs numeric ground-state error over a (g, u) grid",
+                  ("--delta", "--kappa", "--tol", "--scan")),
+    "staircase": ("ground-state mean photon number staircase over u",
+                  ("--delta", "--g", "--kappa", "--cutoff", "--tol", "--scan")),
+    "co-ladder": ("analytic level-crossing ladder of the completed model",
+                  ("--kappa", "--levels")),
+}
+_SPECTRUM_SUBCOMMANDS = ("spectrum", "scan-g", "scan-u")
+
 
 class ValidationFailure(ValueError):
     pass
@@ -130,29 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         "for the Rabi / Rabi-Stark / completed Rabi-Stark models.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("spectrum", "numeric + analytic levels along one coupling scan"),
-        ("scan-g", "spectrum scan over the Rabi coupling g"),
-        ("scan-u", "spectrum scan over the Stark coupling u"),
-        ("collapse-check", "cutoff-doubling history and convergence classification"),
-        ("error-map", "analytic vs numeric ground-state error over a (g, u) grid"),
-        ("staircase", "ground-state mean photon number staircase over u"),
-        ("co-ladder", "analytic level-crossing ladder of the completed model"),
-    ]:
+    for name, (help_text, reads) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True, choices=sorted(v.value for v in Variant))
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--g", type=float, default=0.0)
-        p.add_argument("--capital-u", type=float, default=0.0)
-        p.add_argument("--kappa", type=float, default=0.0)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--levels", type=int, default=6)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--scan", action="append", default=[])
-        p.add_argument("--out", required=True)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        for option, kwargs in _OPTIONS.items():
+            if option in _COMMON_OPTIONS or option in reads:
+                p.add_argument(option, **kwargs)
+            else:  # not an option here, but SweepSpec and the JSON echo read its default
+                p.set_defaults(**{option[2:].replace("-", "_"): kwargs["default"]})
     return parser
 
 
@@ -206,9 +233,15 @@ def spec_from_args(args) -> SweepSpec:
     return spec
 
 
+def _ladder_n_max(levels: int) -> int:
+    """The top block n of the analytic ladder written beside `levels`
+    numeric levels."""
+    return levels // 2 + 2
+
+
 def _validate_spec(spec: SweepSpec) -> None:
     sub = spec.subcommand
-    if sub in ("spectrum", "scan-g", "scan-u"):
+    if sub in _SPECTRUM_SUBCOMMANDS:
         if len(spec.grids) != 1:
             raise ValidationFailure(f"{sub} requires exactly one --scan axis")
         axis = next(iter(spec.grids))
@@ -216,9 +249,6 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValidationFailure("scan-g requires --scan g=start:stop:step")
         if sub == "scan-u" and axis != "u":
             raise ValidationFailure("scan-u requires --scan u=start:stop:step")
-    elif sub == "collapse-check":
-        if spec.grids:
-            raise ValidationFailure("collapse-check takes no --scan")
     elif sub == "error-map":
         if set(spec.grids) != {"g", "u"}:
             raise ValidationFailure("error-map requires --scan g=... and --scan u=...")
@@ -246,10 +276,24 @@ def _validate_spec(spec: SweepSpec) -> None:
                 f"(got {spec.params.delta:.3g})"
             )
     elif sub == "co-ladder":
-        if spec.grids:
-            raise ValidationFailure("co-ladder takes no --scan")
         if spec.params.effective_kappa <= 0:
             raise ValidationFailure("co-ladder requires --kappa > 0 on the completed model")
+        if spec.levels > MAX_SCAN_POINTS:
+            raise ValidationFailure(f"--levels must be <= {MAX_SCAN_POINTS}, got {spec.levels}")
+
+    try:  # what the solvers refuse, by their own checks
+        if sub in (*_SPECTRUM_SUBCOMMANDS, "collapse-check"):
+            if spec.cutoff is not None:
+                check_levels(spec.cutoff, spec.levels)
+                check_cutoff(spec.cutoff)
+            else:
+                _doubling_schedule(DEFAULT_START_CUTOFF, DEFAULT_MAX_CUTOFF, spec.levels)
+        if sub in _SPECTRUM_SUBCOMMANDS:
+            check_ladder(_ladder_n_max(spec.levels))
+        if sub == "staircase":
+            staircase_grid(spec.params, grid_values(*spec.grids["u"]), spec.cutoff)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from None
 
     out_dir = os.path.dirname(os.path.abspath(spec.out_path))
     if not os.path.isdir(out_dir):
@@ -304,14 +348,14 @@ def run(spec: SweepSpec) -> int:
     total_points = 0
 
     try:
-        if spec.subcommand in ("spectrum", "scan-g", "scan-u"):
+        if spec.subcommand in _SPECTRUM_SUBCOMMANDS:
             columns = SPECTRUM_COLUMNS
             axis = next(iter(spec.grids))
             values = grid_values(*spec.grids[axis])
             total_points = len(values)
             done, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
             # the analytic ladders of all solved points form one lambda batch
-            points, n_max = [p for p, _, _ in done], spec.levels // 2 + 2
+            points, n_max = [p for p, _, _ in done], _ladder_n_max(spec.levels)
             try:
                 ladders = analytic_ladders(points, n_max)
             except Exception:  # noqa: BLE001 - the point that raises is found one by one
@@ -383,13 +427,7 @@ def run(spec: SweepSpec) -> int:
             for n, u_cross in enumerate(ladder.positions):
                 records.append([n, float(u_cross)])
 
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValidationFailure(f"unknown subcommand {spec.subcommand!r}")
-
-    except (ValidationFailure, CoRegimeError, ResolutionError, ValueError) as exc:
-        print(f"rabistark: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SolverError, LambdaSolveError, DivergentSpectrumError, RegimeViolationError) as exc:
+    except Exception as exc:  # noqa: BLE001 - converted to exit code
         failure_reason = str(exc)
 
     _write_output(spec, columns, records, extra, failure_reason)
@@ -453,9 +491,10 @@ def _write_output(spec, columns, records, extra, failure_reason) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:  # an option this subcommand does not read (--opt or --opt=value)
+            raise ValidationFailure(f"{args.subcommand} takes no {unread[0].split('=', 1)[0]}")
         spec = spec_from_args(args)
     except ValidationFailure as exc:
         print(f"rabistark: validation error: {exc}", file=sys.stderr)

@@ -165,12 +165,18 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
     return Spectrum(energies=energies, cutoff=h.cutoff, vectors=vectors)
 
 
-def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
-    """Lowest k levels at a fixed photon cutoff: the merged lowest
-    min(k, cutoff + 1) levels of the two parity-sector chains."""
+def check_levels(cutoff: int, k: int) -> None:
+    """Refuses k outside 1 <= k <= 2 (cutoff + 1), the levels both chains
+    hold at cutoff; spectrum_at_cutoff and the CLI check it here."""
     dim = 2 * (cutoff + 1)
     if not 1 <= k <= dim:
         raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
+
+
+def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
+    """Lowest k levels at a fixed photon cutoff: the merged lowest
+    min(k, cutoff + 1) levels of the two parity-sector chains."""
+    check_levels(cutoff, k)
     m = min(k, cutoff + 1)
     chains = build_chains(params, cutoff)
     plus, minus = (eigen_symmetric(h, m).energies for h in chains)
@@ -179,11 +185,19 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     return Spectrum(merged[:k], cutoff, sectors=(plus, minus), chains=chains)
 
 
-def _doubling_schedule(start: int, max_cutoff: int, k: int):
+def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
+    """The cutoffs of a doubling from start, raised to the least whose chains
+    hold k levels, up to max_cutoff; refused when that leaves none."""
     c = max(start, (k + 1) // 2)  # need dim = 2(c+1) >= k
+    if c > max_cutoff:
+        raise ValueError(
+            f"empty cutoff schedule: start_cutoff={start} exceeds max_cutoff={max_cutoff}"
+        )
+    cutoffs = []
     while c <= max_cutoff:
-        yield c
+        cutoffs.append(c)
         c *= 2
+    return cutoffs
 
 
 def converged_spectrum(
@@ -241,11 +255,6 @@ def converged_spectrum(
                 classification = Classification.UNBOUNDED_BELOW
                 break
 
-    if not history:
-        raise ValueError(
-            f"empty cutoff schedule: start_cutoff={start_cutoff} exceeds "
-            f"max_cutoff={max_cutoff}"
-        )
     return spec, ConvergenceReport(
         classification=classification,
         final_cutoff=spec.cutoff,

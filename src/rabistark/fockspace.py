@@ -86,14 +86,9 @@ class HamiltonianMatrix:
         return h
 
 
-def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
-    """The parity +1 and -1 chains of the truncated Hamiltonian for the
-    requested variant, as views of one (3, cutoff + 1) array.
-
-    Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
-    Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
-    DEFAULT_MAX_DIM bounds the full dimension 2 (cutoff + 1) of both chains.
-    """
+def check_cutoff(cutoff) -> int:
+    """cutoff as an int, refused unless it is an integer >= 1 whose chains
+    fit DEFAULT_MAX_DIM; build_chains and the CLI check it here."""
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
         raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     cutoff = int(cutoff)
@@ -104,6 +99,19 @@ def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, H
             f"dimension 2*(cutoff+1) = {2 * (cutoff + 1)} exceeds the configured "
             f"maximum {DEFAULT_MAX_DIM}"
         )
+    return cutoff
+
+
+def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
+    """The parity +1 and -1 chains of the truncated Hamiltonian for the
+    requested variant, as views of one (3, cutoff + 1) array.
+
+    Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
+    Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
+    DEFAULT_MAX_DIM bounds the full dimension 2 (cutoff + 1) of both chains
+    (check_cutoff).
+    """
+    cutoff = check_cutoff(cutoff)
     n = np.arange(cutoff + 1, dtype=float)
     rows = np.empty((3, cutoff + 1))
     plus, minus, off = rows

@@ -125,6 +125,33 @@ class StaircaseReport:
     cutoffs: list[int] = field(default_factory=list, repr=False)
 
 
+def staircase_grid(
+    params: ModelParams, u_values, start_cutoff: int | None
+) -> tuple[np.ndarray, float]:
+    """The u grid of a staircase scan as an array, and its largest step.
+
+    Refuses a grid that is not strictly increasing with >= 2 points or
+    holds fewer than MIN_POINTS_PER_STEP points per expected step width
+    4 kappa, and a start cutoff (by default initial_cutoff, largest at the
+    last u) that leaves the doubling no cutoff within DEFAULT_MAX_CUTOFF.
+    staircase_scan and the CLI check the grid here, before any solve.
+    """
+    u_values = np.asarray(list(u_values), dtype=float)
+    if u_values.size < 2 or np.any(np.diff(u_values) <= 0):
+        raise ValueError("u grid must be strictly increasing with >= 2 points")
+    step = float(np.max(np.diff(u_values)))
+    expected_width = 4.0 * params.effective_kappa
+    if expected_width / step < MIN_POINTS_PER_STEP:
+        raise ResolutionError(
+            f"grid step {step:.3g} resolves fewer than {MIN_POINTS_PER_STEP} points "
+            f"per expected step width 4 kappa = {expected_width:.3g}"
+        )
+    if start_cutoff is None:
+        start_cutoff = initial_cutoff(dc_replace(params, u=float(u_values[-1])))
+    _doubling_schedule(start_cutoff, DEFAULT_MAX_CUTOFF, 1)
+    return u_values, step
+
+
 def staircase_scan(
     params: ModelParams,
     u_values,
@@ -152,17 +179,7 @@ def staircase_scan(
     if params.effective_kappa <= 0.0:
         raise ValueError("staircase scan requires kappa > 0")
     check_co_regime(params, allow_small_ratio)
-
-    u_values = np.asarray(list(u_values), dtype=float)
-    if u_values.size < 2 or np.any(np.diff(u_values) <= 0):
-        raise ValueError("u grid must be strictly increasing with >= 2 points")
-    step = float(np.max(np.diff(u_values)))
-    expected_width = 4.0 * params.effective_kappa
-    if expected_width / step < MIN_POINTS_PER_STEP:
-        raise ResolutionError(
-            f"grid step {step:.3g} resolves fewer than {MIN_POINTS_PER_STEP} points "
-            f"per expected step width 4 kappa = {expected_width:.3g}"
-        )
+    u_values, step = staircase_grid(params, u_values, start_cutoff)
 
     results = [
         _mean_photon_detail(dc_replace(params, u=float(u)), tol, start_cutoff, DEFAULT_MAX_CUTOFF)

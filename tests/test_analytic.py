@@ -542,3 +542,17 @@ def test_error_map_hump_at_crossing_row():
     assert all(np.diff(errs[:boundary]) > 0)  # rises through region I
     assert errs[boundary] < errs[boundary - 1]  # dips at the crossing
     assert errs[-1] > errs[boundary - 1]  # and rises again beyond it
+
+
+def test_ladder_degree_bound_is_checked_before_any_lambda(monkeypatch):
+    # the top block n_max reads Laguerre degree n_max + 2: n_max = 9999 is
+    # refused before any lambda is solved, and n_max = 9998 passes the check
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambdas solved")
+
+    monkeypatch.setattr(analytic, "_solve_lanes", refuse)
+    p = ModelParams(delta=1.0, g=0.2, variant=Variant.RABI_STARK)
+    for batch in (analytic_ladders, analytic_spectra):
+        with pytest.raises(ValueError, match=r"^degree 10001 exceeds supported maximum 10000$"):
+            batch([p], 9999)
+    analytic.check_ladder(9998)

@@ -1,5 +1,6 @@
 """CLI contracts: schemas, exit codes, determinism, failure trailers."""
 
+import argparse
 import csv
 import json
 from types import SimpleNamespace
@@ -553,3 +554,142 @@ def test_json_failure_marks_incomplete(tmp_path, monkeypatch):
     assert payload["complete"] is False
     assert "boom" in payload["failure"]
     assert payload["records"] == []
+
+
+# (subcommand, option, value): every option a subcommand does not read
+UNREAD_OPTIONS = [
+    ("scan-g", "--g", "0.5"),
+    ("scan-u", "--capital-u", "1"),
+    ("collapse-check", "--scan", "u=0:1:0.5"),
+    ("error-map", "--g", "0.5"),
+    ("error-map", "--capital-u", "9"),
+    ("error-map", "--cutoff", "5"),
+    ("error-map", "--levels", "99"),
+    ("staircase", "--capital-u", "1"),
+    ("staircase", "--levels", "4"),
+    ("co-ladder", "--delta", "7"),
+    ("co-ladder", "--g", "5"),
+    ("co-ladder", "--capital-u", "1"),
+    ("co-ladder", "--cutoff", "9"),
+    ("co-ladder", "--tol", "3"),
+    ("co-ladder", "--scan", "u=0:1:0.5"),
+]
+
+
+@pytest.mark.parametrize("subcommand, option, value", UNREAD_OPTIONS)
+def test_unread_option_is_refused(subcommand, option, value, tmp_path, capsys):
+    args, _ = OMEGA_RUNS[subcommand]
+    out = tmp_path / "o.csv"
+    assert main([*args, option, value, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"rabistark: validation error: {subcommand} takes no {option}\n"
+    assert not out.exists()
+
+
+def test_unread_option_with_its_value_attached_is_refused(tmp_path, capsys):
+    args, _ = OMEGA_RUNS["co-ladder"]
+    assert main([*args, "--tol=3", "--out", str(tmp_path / "o.csv")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "rabistark: validation error: co-ladder takes no --tol\n"
+
+
+def test_each_subcommand_registers_only_the_options_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        (name, option)
+        for name, sub in subparsers.choices.items()
+        for option in sub._option_string_actions
+        if option not in ("-h", "--help")
+    }
+    assert len(subparsers.choices) == 7 and len(registered) == 76
+    assert not registered & {(sub, option) for sub, option, _ in UNREAD_OPTIONS}
+    for name in subparsers.choices:
+        assert {(name, "--omega"), (name, "--workers")} <= registered
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    for name in ("converged_spectrum", "spectrum_at_cutoff", "analytic_ladders", "error_map",
+                 "staircase_scan", "crossing_ladder"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+_FIXED_CUTOFF_RUNS = [
+    ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1"],
+    ["scan-g", "--model", "rabi", "--delta", "1", "--scan", "g=0.1:0.2:0.1"],
+    ["scan-u", *_STARK, "--scan", "u=0:0.2:0.1"],
+    ["collapse-check", *_STARK, "--capital-u", "1"],
+]
+_STAIRCASE = ["staircase", "--model", "completed", "--delta", "200", "--g", "0.1"]
+# (arguments, those added at the first accepted value, at the first refused one, the refusal)
+BOUNDS = [
+    *[(run, ["--cutoff", "99999"], ["--cutoff", "100000"],
+       "dimension 2*(cutoff+1) = 200002 exceeds the configured maximum 200000")
+      for run in _FIXED_CUTOFF_RUNS],
+    *[(run, ["--cutoff", "10", "--levels", "22"], ["--cutoff", "10", "--levels", "23"],
+       "k must satisfy 1 <= k <= dim = 22, got 23") for run in _FIXED_CUTOFF_RUNS],
+    (_FIXED_CUTOFF_RUNS[3], ["--levels", "65536"], ["--levels", "65537"],
+     "empty cutoff schedule: start_cutoff=32 exceeds max_cutoff=32768"),
+    # the analytic ladder's top block n = levels // 2 + 2 reads degree n + 2
+    *[(run, ["--levels", "19993"], ["--levels", "19994"],
+       "degree 10001 exceeds supported maximum 10000") for run in _FIXED_CUTOFF_RUNS[:3]],
+    ([*_STAIRCASE, "--kappa", "0.05", "--scan", "u=2:2.2:0.01"], ["--cutoff", "32768"],
+     ["--cutoff", "32769"], "empty cutoff schedule: start_cutoff=32769 exceeds max_cutoff=32768"),
+    # the default start cutoff 4 ceil((u - 2 omega - 2 kappa) / (4 kappa)) at the last u
+    ([*_STAIRCASE, "--kappa", "0.25"], ["--scan", "u=8194:8194.5:0.25"],
+     ["--scan", "u=8194:8194.75:0.25"],
+     "empty cutoff schedule: start_cutoff=32772 exceeds max_cutoff=32768"),
+    ([*_STAIRCASE, "--kappa", "0.1"], ["--scan", "u=2:2.1:0.1"], ["--scan", "u=2:2.1:0.2"],
+     "u grid must be strictly increasing with >= 2 points"),
+    # 4 kappa / step = 3 points per step, and the next kappa below
+    ([*_STAIRCASE, "--scan", "u=2:2.5:0.125"], ["--kappa", "0.09375"],
+     ["--kappa", "0.09374999999999999"],
+     "grid step 0.125 resolves fewer than 3 points per expected step width 4 kappa = 0.375"),
+    (OMEGA_RUNS["co-ladder"][0][:-2], ["--levels", "100000"], ["--levels", "100001"],
+     "--levels must be <= 100000, got 100001"),
+]
+
+
+@pytest.mark.parametrize("args, accepted, refused, message", BOUNDS,
+                         ids=[" ".join([args[0], *refused]) for args, _, refused, _ in BOUNDS])
+def test_bound_is_checked_before_any_solve(args, accepted, refused, message, no_solve,
+                                           tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main([*args, *refused, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"rabistark: validation error: {message}\n"
+    assert not out.exists()
+    parsed, unread = cli.build_parser().parse_known_args([*args, *accepted, "--out", str(out)])
+    assert not unread
+    cli.spec_from_args(parsed)  # passes every check, and solves nothing
+
+
+_OVERFLOW = ["--model", "completed", "--delta", "1", "--g", "0.2", "--kappa", "1e305"]
+# subcommand family: arguments, the solver replaced by one raising ValueError or None, the
+# failure reason
+SOLVE_ERRORS = {
+    "spectrum": (["spectrum", *_OVERFLOW, "--scan", "u=0:0.2:0.1"], None,
+                 "u = 0.0: array must not contain infs or NaNs"),
+    "collapse-check": (["collapse-check", *_OVERFLOW], None,
+                       "array must not contain infs or NaNs"),
+    "error-map": (OMEGA_RUNS["error-map"][0], "error_map", "u = 1.8: synthetic ValueError"),
+    "staircase": (OMEGA_RUNS["staircase"][0], "staircase_scan", "synthetic ValueError"),
+    "co-ladder": (OMEGA_RUNS["co-ladder"][0], "crossing_ladder", "synthetic ValueError"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SOLVE_ERRORS))
+def test_value_error_inside_a_solve_is_a_solver_failure(family, monkeypatch, tmp_path, capsys):
+    # exit 3 and the trailer from every subcommand, whatever the solver raised
+    args, solver, reason = SOLVE_ERRORS[family]
+    if solver is not None:
+        def raise_value_error(*args, **kwargs):
+            raise ValueError("synthetic ValueError")
+
+        monkeypatch.setattr(cli, solver, raise_value_error)
+    out = tmp_path / "o.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == f"rabistark: solver failure: {reason}\n"
+    assert out.read_text().splitlines()[-1] == f"# incomplete: {reason}"

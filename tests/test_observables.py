@@ -356,3 +356,21 @@ def test_rabi_model_crossing_structure():
     juddian = [ev for ev in events if ev.pair == (2, 3)]
     assert juddian
     assert juddian[0].value == pytest.approx(math.sqrt(3.0) / 4.0, abs=2e-4)
+
+
+@pytest.mark.parametrize("u_values, start_cutoff, message", [
+    ([2.0, 2.05], 32_769, "empty cutoff schedule: start_cutoff=32769"),
+    ([2.0], None, "u grid must be strictly increasing with >= 2 points"),
+    ([2.0, 2.1], None, "resolves fewer than 3 points"),
+    # the default start cutoff at the last u: 4 ceil((u - 2.5) / 1) = 32772
+    ([8194.5, 8194.75], None, "empty cutoff schedule: start_cutoff=32772"),
+])
+def test_staircase_grid_is_refused_before_any_solve(u_values, start_cutoff, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(observables, "_mean_photon_detail", refuse)
+    kappa = 0.25 if u_values[0] > 8000 else 0.05
+    p = ModelParams(delta=200.0, g=0.1, kappa=kappa, variant=Variant.COMPLETED)
+    with pytest.raises(ValueError, match=message):
+        observables.staircase_scan(p, u_values, start_cutoff=start_cutoff)
