@@ -83,6 +83,20 @@ CASES = [
                         "--levels", "200001"], "csv"),
     ("refused_levels_json", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                              "--levels", "200001", "--format", "json"], "json"),
+    # an option set off its default that the run cannot read, one run per rule
+    ("refused_tol_with_cutoff", ["scan-u", *_STARK, "--scan", "u=0:1.5:0.5", "--levels", "4",
+                                 "--cutoff", "48", "--tol", "1e-3"], "csv"),
+    ("refused_swept_coupling", ["spectrum", *_STARK, "--scan", "g=0.1:0.3:0.1", "--g", "0.9"],
+     "csv"),
+    ("refused_u_on_rabi", ["collapse-check", "--model", "rabi", "--delta", "1", "--g", "0.2",
+                           "--capital-u", "1.5"], "csv"),
+    ("refused_scan_u_on_rabi", ["scan-u", "--model", "rabi", "--delta", "1", "--g", "0.2",
+                                "--scan", "u=0:1:0.5"], "csv"),
+    ("refused_kappa_off_completed", ["spectrum", *_STARK, "--scan", "u=0:1:0.5",
+                                     "--kappa", "0.3"], "csv"),
+    # the lambda bracket scan's residual product overflows; exit 0 and nothing on stderr
+    ("overflow_delta1e200", ["spectrum", "--model", "stark", "--delta", "1e200", "--g", "0.2",
+                             "--scan", "u=0:1:0.5", "--levels", "2", "--cutoff", "8"], "csv"),
     # kappa n^2 overflows the chain diagonal: eigen_symmetric raises inside the sweep
     ("solver_failure", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
                         "--kappa", "1e305", "--scan", "u=0:0.2:0.1"], "csv"),

@@ -11,8 +11,10 @@ with 17 significant digits, so identical invocations produce byte-identical
 files.
 
 Each subcommand registers only the options it reads (_SUBCOMMANDS); any
-other option is refused.  Every input the solvers would refuse is refused
-before any solve, mostly by the solvers' own checks.
+other option is refused, as is one set off its default that the run cannot
+read: --tol with --cutoff, the coupling --scan sweeps, u on the Rabi model
+and kappa off the completed one.  So is every input the solvers would refuse,
+mostly by their own checks; all before any solve.
 
 Exit codes: 0 success, 2 input refused before any solve (no output file
 written), 3 an error raised inside a solver (partial output flushed with an
@@ -28,6 +30,8 @@ import sys
 # sweeps run serially; ThreadPoolExecutor stays importable for perfbench/spans.py
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace as dc_replace
+
+import numpy as np
 
 from .analytic import LambdaSolveError, analytic_ladders, check_ladder, error_map
 from .colimit import CO_MIN_RATIO, crossing_ladder
@@ -112,7 +116,6 @@ class SweepSpec:
     tol: float
     out_path: str
     format: str
-    workers: int
     cutoff: int | None
     omega: float  # the energy scale of the written energy fields
 
@@ -225,7 +228,6 @@ def spec_from_args(args) -> SweepSpec:
         tol=args.tol,
         out_path=args.out,
         format=args.format,
-        workers=args.workers,
         cutoff=args.cutoff,
         omega=args.omega,
     )
@@ -266,10 +268,6 @@ def _validate_spec(spec: SweepSpec) -> None:
     elif sub == "staircase":
         if set(spec.grids) != {"u"}:
             raise ValidationFailure("staircase requires exactly --scan u=start:stop:step")
-        if spec.params.variant is not Variant.COMPLETED:
-            raise ValidationFailure("staircase requires --model completed")
-        if spec.params.effective_kappa <= 0:
-            raise ValidationFailure("staircase requires --kappa > 0")
         if spec.params.delta < CO_MIN_RATIO:
             raise ValidationFailure(
                 f"staircase requires the CO regime delta/omega >= {CO_MIN_RATIO:g} "
@@ -294,6 +292,18 @@ def _validate_spec(spec: SweepSpec) -> None:
             staircase_grid(spec.params, grid_values(*spec.grids["u"]), spec.cutoff)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
+    p, model = spec.params, f"on --model {spec.params.variant.value}"
+    for option, unread, condition in [  # set off its default, but this run cannot read it
+        ("--tol", spec.tol != DEFAULT_TOL and spec.cutoff is not None and sub != "staircase",
+         "with --cutoff"),
+        ("--g", p.g != 0 and "g" in spec.grids, "with --scan g="),
+        ("--capital-u", p.u != 0 and "u" in spec.grids, "with --scan u="),
+        ("--capital-u", p.u != 0 and p.variant is Variant.RABI, model),
+        ("--scan u=", "u" in spec.grids and p.variant is Variant.RABI, model),
+        ("--kappa", p.kappa != 0 and p.variant is not Variant.COMPLETED, model),
+    ]:
+        if unread:
+            raise ValidationFailure(f"{sub} takes no {option} {condition}")
 
     out_dir = os.path.dirname(os.path.abspath(spec.out_path))
     if not os.path.isdir(out_dir):
@@ -400,13 +410,7 @@ def run(spec: SweepSpec) -> int:
             columns = STAIRCASE_COLUMNS
             u_values = grid_values(*spec.grids["u"])
             total_points = len(u_values)
-            report = staircase_scan(
-                spec.params,
-                u_values,
-                tol=spec.tol,
-                workers=spec.workers,
-                start_cutoff=spec.cutoff,
-            )
+            report = staircase_scan(spec.params, u_values, tol=spec.tol, start_cutoff=spec.cutoff)
             for u, nbar, renorm in zip(
                 report.u_values, report.mean_photon, report.renormalized
             ):
@@ -499,7 +503,8 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"rabistark: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return run(spec)
+    with np.errstate(over="ignore"):  # an overflow reaches the solvers' own refusals
+        return run(spec)
 
 
 if __name__ == "__main__":

@@ -130,12 +130,18 @@ def staircase_grid(
 ) -> tuple[np.ndarray, float]:
     """The u grid of a staircase scan as an array, and its largest step.
 
-    Refuses a grid that is not strictly increasing with >= 2 points or
-    holds fewer than MIN_POINTS_PER_STEP points per expected step width
-    4 kappa, and a start cutoff (by default initial_cutoff, largest at the
-    last u) that leaves the doubling no cutoff within DEFAULT_MAX_CUTOFF.
-    staircase_scan and the CLI check the grid here, before any solve.
+    Refuses a model other than the completed one with kappa > 0, a grid
+    that is not strictly increasing with >= 2 points or holds fewer than
+    MIN_POINTS_PER_STEP points per expected step width 4 kappa, and a start
+    cutoff (by default initial_cutoff, largest at the last u) that leaves
+    the doubling fewer than the two cutoffs a converged spectrum needs
+    within DEFAULT_MAX_CUTOFF.  staircase_scan and the CLI check the model
+    and grid here, before any solve.
     """
+    if params.variant is not Variant.COMPLETED:
+        raise ValueError("staircase scan requires the completed model variant")
+    if params.effective_kappa <= 0.0:
+        raise ValueError("staircase scan requires kappa > 0")
     u_values = np.asarray(list(u_values), dtype=float)
     if u_values.size < 2 or np.any(np.diff(u_values) <= 0):
         raise ValueError("u grid must be strictly increasing with >= 2 points")
@@ -148,7 +154,9 @@ def staircase_grid(
         )
     if start_cutoff is None:
         start_cutoff = initial_cutoff(dc_replace(params, u=float(u_values[-1])))
-    _doubling_schedule(start_cutoff, DEFAULT_MAX_CUTOFF, 1)
+    if len(_doubling_schedule(start_cutoff, DEFAULT_MAX_CUTOFF, 1)) < 2:
+        raise ValueError(f"start cutoff {start_cutoff} leaves the doubling one cutoff within "
+                         f"max_cutoff={DEFAULT_MAX_CUTOFF}; a converged spectrum needs two")
     return u_values, step
 
 
@@ -174,10 +182,6 @@ def staircase_scan(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if params.variant is not Variant.COMPLETED:
-        raise ValueError("staircase scan requires the completed model variant")
-    if params.effective_kappa <= 0.0:
-        raise ValueError("staircase scan requires kappa > 0")
     check_co_regime(params, allow_small_ratio)
     u_values, step = staircase_grid(params, u_values, start_cutoff)
 

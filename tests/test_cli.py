@@ -3,6 +3,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,7 +229,7 @@ def test_fixed_cutoff_skips_convergence_study(tmp_path):
     out = tmp_path / "fixed.csv"
     code = main(
         [
-            "spectrum", "--model", "rabi", "--delta", "1", "--g", "0.1",
+            "spectrum", "--model", "rabi", "--delta", "1",
             "--scan", "g=0.1:0.2:0.1", "--levels", "2", "--cutoff", "48",
             "--out", str(out),
         ]
@@ -636,12 +640,14 @@ BOUNDS = [
     # the analytic ladder's top block n = levels // 2 + 2 reads degree n + 2
     *[(run, ["--levels", "19993"], ["--levels", "19994"],
        "degree 10001 exceeds supported maximum 10000") for run in _FIXED_CUTOFF_RUNS[:3]],
-    ([*_STAIRCASE, "--kappa", "0.05", "--scan", "u=2:2.2:0.01"], ["--cutoff", "32768"],
-     ["--cutoff", "32769"], "empty cutoff schedule: start_cutoff=32769 exceeds max_cutoff=32768"),
+    # a converged spectrum needs two cutoffs of the doubling: 16384 and 32768
+    ([*_STAIRCASE, "--kappa", "0.05", "--scan", "u=2:2.2:0.01"], ["--cutoff", "16384"],
+     ["--cutoff", "16385"], "start cutoff 16385 leaves the doubling one cutoff within "
+     "max_cutoff=32768; a converged spectrum needs two"),
     # the default start cutoff 4 ceil((u - 2 omega - 2 kappa) / (4 kappa)) at the last u
-    ([*_STAIRCASE, "--kappa", "0.25"], ["--scan", "u=8194:8194.5:0.25"],
-     ["--scan", "u=8194:8194.75:0.25"],
-     "empty cutoff schedule: start_cutoff=32772 exceeds max_cutoff=32768"),
+    ([*_STAIRCASE, "--kappa", "0.25"], ["--scan", "u=4098:4098.5:0.25"],
+     ["--scan", "u=4098:4098.75:0.25"], "start cutoff 16388 leaves the doubling one cutoff "
+     "within max_cutoff=32768; a converged spectrum needs two"),
     ([*_STAIRCASE, "--kappa", "0.1"], ["--scan", "u=2:2.1:0.1"], ["--scan", "u=2:2.1:0.2"],
      "u grid must be strictly increasing with >= 2 points"),
     # 4 kappa / step = 3 points per step, and the next kappa below
@@ -653,8 +659,42 @@ BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("args, accepted, refused, message", BOUNDS,
-                         ids=[" ".join([args[0], *refused]) for args, _, refused, _ in BOUNDS])
+_RABI = ["--model", "rabi", "--delta", "1"]
+_MAP_GRID = ["--scan", "g=0.1:0.2:0.1", "--scan", "u=0:1:0.5"]
+# (arguments, those added at the default, those added off it, the refusal): an option whose
+# value the run cannot read; a --scan u= has no default there, so the Stark model stands in
+UNREAD_VALUES = [
+    *[(run, ["--cutoff", "48", "--tol", "1e-8"], ["--cutoff", "48", "--tol", "1e-3"],
+       f"{run[0]} takes no --tol with --cutoff") for run in _FIXED_CUTOFF_RUNS],
+    (["spectrum", *_STARK[:4], "--scan", "g=0.1:0.3:0.1"], ["--g", "0"], ["--g", "0.9"],
+     "spectrum takes no --g with --scan g="),
+    (["spectrum", *_STARK, "--scan", "u=0:0.2:0.1"], ["--capital-u", "0"],
+     ["--capital-u", "0.5"], "spectrum takes no --capital-u with --scan u="),
+    *[([sub, *_RABI, *scan], ["--capital-u", "0"], ["--capital-u", "0.5"],
+       f"{sub} takes no --capital-u on --model rabi")
+      for sub, scan in [("spectrum", ["--scan", "g=0.1:0.2:0.1"]),
+                        ("scan-g", ["--scan", "g=0.1:0.2:0.1"]), ("collapse-check", [])]],
+    *[([sub, "--delta", "1", *scan], ["--model", "stark"], ["--model", "rabi"],
+       f"{sub} takes no --scan u= on --model rabi")
+      for sub, scan in [("spectrum", ["--scan", "u=0:0.2:0.1"]),
+                        ("scan-u", ["--scan", "u=0:0.2:0.1"]), ("error-map", _MAP_GRID)]],
+    # scan-u and error-map on the Rabi model are refused for their --scan u=
+    *[([sub, "--model", model, "--delta", "1", *scan], ["--kappa", "0"], ["--kappa", "0.3"],
+       f"{sub} takes no --kappa on --model {model}")
+      for sub, scan, models in [("spectrum", ["--scan", "g=0.1:0.2:0.1"], ("rabi", "stark")),
+                                ("scan-g", ["--scan", "g=0.1:0.2:0.1"], ("rabi", "stark")),
+                                ("scan-u", ["--scan", "u=0:0.2:0.1"], ("stark",)),
+                                ("collapse-check", [], ("rabi", "stark")),
+                                ("error-map", _MAP_GRID, ("stark",))]
+      for model in models],
+]
+
+
+# a bound, or an option set off its default that the run cannot read
+@pytest.mark.parametrize("args, accepted, refused, message", [
+    *[pytest.param(*case, id=" ".join([case[0][0], *case[2]])) for case in BOUNDS],
+    *[pytest.param(*case, id=" ".join([*case[0], *case[2]])) for case in UNREAD_VALUES],
+])
 def test_bound_is_checked_before_any_solve(args, accepted, refused, message, no_solve,
                                            tmp_path, capsys):
     out = tmp_path / "o.csv"
@@ -664,6 +704,23 @@ def test_bound_is_checked_before_any_solve(args, accepted, refused, message, no_
     parsed, unread = cli.build_parser().parse_known_args([*args, *accepted, "--out", str(out)])
     assert not unread
     cli.spec_from_args(parsed)  # passes every check, and solves nothing
+
+
+@pytest.mark.parametrize("args, code, err", [
+    # the chain diagonal kappa n^2 overflows, and the eigensolver refuses it
+    (["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2", "--kappa", "1e305",
+      "--scan", "u=0:0.2:0.1"], EXIT_SOLVER,
+     "rabistark: solver failure: u = 0.0: array must not contain infs or NaNs\n"),
+    # the lambda bracket scan's product of neighbouring residuals overflows; its sign stands
+    (["spectrum", "--model", "stark", "--delta", "1e200", "--g", "0.2", "--scan", "u=0:1:0.5",
+      "--levels", "2", "--cutoff", "8"], EXIT_OK, ""),
+], ids=["kappa 1e305", "delta 1e200"])
+def test_an_overflow_prints_no_warning(args, code, err, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "rabistark.cli", *args, "--out", "o.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 _OVERFLOW = ["--model", "completed", "--delta", "1", "--g", "0.2", "--kappa", "1e305"]

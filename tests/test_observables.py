@@ -362,15 +362,18 @@ def test_rabi_model_crossing_structure():
     ([2.0, 2.05], 32_769, "empty cutoff schedule: start_cutoff=32769"),
     ([2.0], None, "u grid must be strictly increasing with >= 2 points"),
     ([2.0, 2.1], None, "resolves fewer than 3 points"),
-    # the default start cutoff at the last u: 4 ceil((u - 2.5) / 1) = 32772
+    # the default start cutoff at the last u: 4 ceil((u - 2.5) / 1)
     ([8194.5, 8194.75], None, "empty cutoff schedule: start_cutoff=32772"),
+    # a converged spectrum needs two cutoffs of the doubling
+    ([2.0, 2.05], 16_385, "start cutoff 16385 leaves the doubling one cutoff"),
+    ([4098.5, 4098.75], None, "start cutoff 16388 leaves the doubling one cutoff"),
 ])
 def test_staircase_grid_is_refused_before_any_solve(u_values, start_cutoff, message, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solved")
 
     monkeypatch.setattr(observables, "_mean_photon_detail", refuse)
-    kappa = 0.25 if u_values[0] > 8000 else 0.05
+    kappa = 0.25 if u_values[0] > 4000 else 0.05
     p = ModelParams(delta=200.0, g=0.1, kappa=kappa, variant=Variant.COMPLETED)
     with pytest.raises(ValueError, match=message):
         observables.staircase_scan(p, u_values, start_cutoff=start_cutoff)
