@@ -503,7 +503,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"rabistark: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    with np.errstate(over="ignore"):  # an overflow reaches the solvers' own refusals
+    with np.errstate(over="ignore"):  # the solvers handle it: an inf is refused or keeps its sign
         return run(spec)
 
 
