@@ -60,6 +60,13 @@ CASES = [
     ("staircase_delta200_json", [*_STAIR, "--delta", "200", "--scan", "u=2.0:2.2:0.02",
                                  "--format", "json"], "json"),
     ("staircase_delta1000", [*_STAIR, "--delta", "1000", "--scan", "u=2.0:2.3:0.02"], "csv"),
+    # the deep segment: its points start their doublings at different cutoffs
+    ("staircase_deep_segment", ["staircase", "--model", "completed", "--g", "0.1", "--delta",
+                                "1000", "--kappa", "0.001", "--scan", "u=2.19:2.21:0.001"],
+     "csv"),
+    # no point converges: exit 3, "did not converge by cutoff 24576"
+    ("staircase_refused_tol", [*_STAIR, "--delta", "200", "--scan", "u=1.8:1.82:0.01",
+                               "--cutoff", "48", "--tol", "1e-300"], "csv"),
     ("co_ladder", ["co-ladder", "--model", "completed", "--kappa", "0.05", "--levels", "6"],
      "csv"),
     # --omega != 1: only the energy fields scale, the rest is in units of omega

@@ -221,7 +221,8 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
         f = fn(np.repeat(scanning, steps), grid[cols], (first, *table), cols)
         f = f.reshape(scanning.size, steps)
         f_prev = np.concatenate([fa[scanning, None], f[:, :-1]], axis=1)
-        change = f_prev * f <= 0.0
+        with np.errstate(over="ignore"):  # only the sign of the product is read
+            change = f_prev * f <= 0.0
         hit = change.any(axis=1)
         row, col = np.flatnonzero(hit), change.argmax(axis=1)[hit]
         found = scanning[hit]

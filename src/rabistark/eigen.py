@@ -17,11 +17,13 @@ from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .fockspace import HamiltonianMatrix, ModelParams, build_chain_block, build_chains
 # build_hamiltonian stays importable for perfbench/spans.py
-from .fockspace import HamiltonianMatrix, ModelParams, build_chains, build_hamiltonian  # noqa: F401
+from .fockspace import build_hamiltonian  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 DEFAULT_DEGENERACY_WINDOW = 1e-2
@@ -30,6 +32,7 @@ DEFAULT_MAX_CUTOFF = 32_768
 
 RESIDUAL_SCALE = 1e-8
 NORM_TOL = 1e-10
+_BLOCK_BUDGET = 2048  # chain-row entries of one lane block, bounding what a doubling round holds
 
 
 def _load_flapack(linalg_dir: Path):
@@ -90,6 +93,8 @@ class Spectrum:
     # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains, and the chains
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     chains: tuple[HamiltonianMatrix, HamiltonianMatrix] | None = field(default=None, repr=False)
+    # for k = 1, each chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
+    bisections: tuple[tuple, tuple] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -102,19 +107,61 @@ class ConvergenceReport:
     degeneracy_window: float
 
 
-def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) -> Spectrum:
+def _solve_block(rows: np.ndarray, k: int, order: str) -> list:
+    """Lowest k levels of every chain of a block of chain rows, by LAPACK
+    bisection (dstebz, RANGE='I', ABSTOL=0): the package's one dstebz call.
+
+    rows has shape (lanes, chains + 1, dim): the chains of lane i have the
+    diagonals rows[i, :-1] and the off-diagonal rows[i, -1, :-1]; the last
+    off-diagonal slot lies outside them (a one-site chain passes it, as the
+    wrappers refuse an empty e).  order is dstebz's ORDER: 'E' sorts the
+    levels, 'B' groups them by split block and keeps the iblock and isplit
+    that dstein needs; with one level both return the same value.  Returns
+    per lane a list of (levels, iblock, isplit), one per chain, or the
+    error of its first failing chain: a non-finite entry (checked once per
+    block), a dstebz info != 0, or 'E' levels out of order.
+    """
+    lanes, dim = len(rows), rows.shape[-1]
+    finite = np.isfinite(rows.reshape(lanes, -1)[:, :-1]).all(axis=1)
+    out = []
+    for lane, ok in zip(rows, finite.tolist()):
+        if not ok:
+            # the message the CLI has always written into its incompleteness trailer
+            out.append(ValueError("array must not contain infs or NaNs"))
+            continue
+        solved, e = [], lane[-1, : max(dim - 1, 1)]
+        for d in lane[:-1]:
+            m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, order)
+            if info != 0:
+                solved = SolverError(f"LAPACK dstebz failed with info={info} (dim={dim}, k={k})")
+                break
+            w = w[:m]
+            if order == "E" and k > 1 and (w[1:] < w[:-1]).any():
+                solved = SolverError("eigenvalues returned out of order")
+                break
+            solved.append((w, iblock, isplit))
+        out.append(solved)
+    return out
+
+
+def eigen_symmetric(
+    h: HamiltonianMatrix, k: int, want_vectors: bool = False, bisection: tuple | None = None
+) -> Spectrum:
     """Lowest k eigenpairs of a parity-sector chain, a HamiltonianMatrix
     with a two-row band as build_chains makes; anything else is a
     ValueError.
 
-    The chain is solved by LAPACK bisection (dstebz, RANGE='I', ABSTOL=0)
-    and inverse iteration (dstein): the calls scipy.linalg.eigh_tridiagonal
-    makes for select='i', so every bit is the same, without that wrapper's
-    per-call argument handling; one-site chains go through the same calls.
-    Eigenvalues come back ascending.  When vectors are requested they are
-    checked against the residual contract ||H v - E v|| <= 1e-8 (1 + |E|),
-    with H v a numpy chain product, and normalized with a fixed sign
-    convention (largest-magnitude component positive).
+    The chain is solved by the lane solver (_solve_block) as a block of one
+    and, for vectors, by inverse iteration (dstein): the calls
+    scipy.linalg.eigh_tridiagonal makes for select='i', so every bit is the
+    same, without that wrapper's per-call argument handling.  bisection may
+    hold the (levels, iblock, isplit) of an ORDER='B' solve of this chain
+    for the same k, such as Spectrum.bisections, and is then used in place
+    of bisecting again.  Eigenvalues come back ascending.  When vectors are
+    requested they are checked against the residual contract
+    ||H v - E v|| <= 1e-8 (1 + |E|), with H v a numpy chain product, and
+    normalized with a fixed sign convention (largest-magnitude component
+    positive).
     """
     if not (isinstance(h, HamiltonianMatrix) and h.band.shape[:-1] == (2,)):
         shape = np.shape(h.band if isinstance(h, HamiltonianMatrix) else h)
@@ -125,43 +172,35 @@ def eigen_symmetric(h: HamiltonianMatrix, k: int, want_vectors: bool = False) ->
     band, dim = h.band, h.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
-    # the last off-diagonal slot lies outside the chain; the message is the
-    # one the CLI has always written into its incompleteness trailer
-    if not np.isfinite(band.ravel()[:-1]).all():
-        raise ValueError("array must not contain infs or NaNs")
-    # a one-site chain passes its zero slot: the wrappers refuse an empty e
-    d, e = band[0], band[1, : max(dim - 1, 1)]
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if want_vectors else "E")
+    if bisection is None:
+        [solved] = _solve_block(band[None], k, "B" if want_vectors else "E")
+        if isinstance(solved, Exception):
+            raise solved
+        [bisection] = solved
+    energies, iblock, isplit = bisection
+    if not want_vectors:
+        return Spectrum(energies=energies, cutoff=h.cutoff)
+
+    vectors, info = dstein(band[0], band[1, : max(dim - 1, 1)], energies, iblock, isplit)
     if info != 0:
-        raise SolverError(f"LAPACK dstebz failed with info={info} (dim={dim}, k={k})")
-    energies, vectors = w[:m], None
-    if want_vectors:
-        vectors, info = dstein(d, e, energies, iblock, isplit)
-        if info != 0:
-            raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
-        if m > 1:  # order 'B' groups the values by split block
-            order = np.argsort(energies)
-            energies, vectors = energies[order], vectors[:, order]
-
-    if k > 1 and (energies[1:] < energies[:-1]).any():
-        raise SolverError("eigenvalues returned out of order")
-
-    if vectors is not None:
-        for j in range(k):
-            v = vectors[:, j]
-            norm = np.linalg.norm(v)
-            if abs(norm - 1.0) > NORM_TOL:
-                raise SolverError(f"eigenvector {j} norm {norm} violates unit-norm contract")
-            resid = np.linalg.norm(_chain_product(band, v) - energies[j] * v)
-            bound = RESIDUAL_SCALE * (1.0 + abs(energies[j]))
-            if resid > bound:
-                raise SolverError(
-                    f"residual {resid:.3e} for level {j} exceeds {bound:.3e} "
-                    f"(dim={dim}, E={energies[j]})"
-                )
-            if v[np.argmax(np.abs(v))] < 0:
-                vectors[:, j] = -v
-
+        raise SolverError(f"LAPACK dstein failed with info={info} (dim={dim}, k={k})")
+    if k > 1:  # order 'B' groups the values by split block
+        order = np.argsort(energies)
+        energies, vectors = energies[order], vectors[:, order]
+    for j in range(k):
+        v = vectors[:, j]
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise SolverError(f"eigenvector {j} norm {norm} violates unit-norm contract")
+        resid = np.linalg.norm(_chain_product(band, v) - energies[j] * v)
+        bound = RESIDUAL_SCALE * (1.0 + abs(energies[j]))
+        if resid > bound:
+            raise SolverError(
+                f"residual {resid:.3e} for level {j} exceeds {bound:.3e} "
+                f"(dim={dim}, E={energies[j]})"
+            )
+        if v[np.argmax(np.abs(v))] < 0:
+            vectors[:, j] = -v
     return Spectrum(energies=energies, cutoff=h.cutoff, vectors=vectors)
 
 
@@ -200,6 +239,144 @@ def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
     return cutoffs
 
 
+class _LaneState(NamedTuple):
+    """Per lane of _converge_lanes: the levels of every cutoff it solved,
+    (lanes, rounds, k), and how many cutoffs that is."""
+
+    levels: np.ndarray
+    solved: np.ndarray
+
+
+def _converge_lanes(
+    points,
+    k: int,
+    tol: float,
+    max_cutoff: int,
+    start_cutoffs,
+    degeneracy_window: float = DEFAULT_DEGENERACY_WINDOW,
+):
+    """The doubling of converged_spectrum, run over lanes, one per point.
+
+    Every round takes the lanes at the lowest pending cutoff and builds and
+    solves them in blocks of at most _BLOCK_BUDGET chain-row entries
+    (_block_round); a lane that does not stop moves on to twice its cutoff.
+    Yields (lane, outcome) as each lane stops, outcome being its (Spectrum,
+    ConvergenceReport) or the error its chains raised.  The Spectrum's
+    chains are views of its block and, for k = 1, its bisections are that
+    block's dstebz output (ORDER='B'); the block is released once the
+    consumer resumes the generator.
+    """
+    if not 0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pending: dict[int, list[int]] = {}
+    rounds = 0
+    for lane, start in enumerate(start_cutoffs):
+        schedule = _doubling_schedule(start, max_cutoff, k)
+        pending.setdefault(schedule[0], []).append(lane)
+        rounds = max(rounds, len(schedule))
+    state = _LaneState(np.zeros((len(points), rounds, k)), np.zeros(len(points), dtype=np.int64))
+    while pending:
+        cutoff = min(pending)
+        lanes = pending.pop(cutoff)
+        per_block = max(1, _BLOCK_BUDGET // (3 * (cutoff + 1)))
+        for first in range(0, len(lanes), per_block):
+            block = lanes[first : first + per_block]
+            going = yield from _block_round(
+                points, block, cutoff, k, tol, max_cutoff, degeneracy_window, state
+            )
+            if going:
+                pending.setdefault(2 * cutoff, []).extend(going)
+
+
+_LAST_FOUR = np.arange(-3, 1)
+
+
+def _block_round(points, block, cutoff, k, tol, max_cutoff, degeneracy_window, state):
+    """One block of _converge_lanes: builds and solves the chains of the
+    lanes in block at cutoff, applies the drift, drop and degeneracy rules
+    to them as arrays, yields each lane that stops and returns the others."""
+    m = min(k, cutoff + 1)
+    rows = build_chain_block([points[i] for i in block], cutoff)
+    solved = _solve_block(rows, m, "B" if k == 1 else "E")
+    ok = []
+    for j, result in enumerate(solved):
+        if isinstance(result, Exception):
+            yield block[j], result
+        else:
+            ok.append(j)
+    if not ok:
+        return []
+    idx = np.array([block[j] for j in ok])
+    # each lane's plus levels then its minus levels, merged as spectrum_at_cutoff does
+    sectors = np.array([[plus[0], minus[0]] for plus, minus in (solved[j] for j in ok)])
+    energies = np.sort(sectors.reshape(len(ok), 2 * m), axis=1)[:, :k]
+
+    count = state.solved[idx]
+    state.levels[idx, count] = energies
+    state.solved[idx] = count + 1
+    # the levels of the last four cutoffs, newest last (a lane with fewer repeats its first)
+    recent = state.levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0)]
+    drift = np.abs(energies - recent[:, 2]).max(axis=1)
+    drops = recent[:, :3, 0] - recent[:, 1:, 0]  # ground-level drops, newest last
+    converged = (count >= 1) & (drift <= tol)
+    e0 = energies[:, 0]
+    # spread of the tracked levels, and a sector holding two levels near the ground
+    collapsed = (energies[:, -1] - e0 <= degeneracy_window) & (
+        (sectors[:, :, 1] - e0[:, None] <= degeneracy_window).any(axis=1)
+        if m > 1
+        else False
+    )
+    unbounded = (
+        ~converged
+        & (count >= 3)
+        & (drops > 10 * tol).all(axis=1)
+        & (drops[:, 2] >= drops[:, 1])
+        & (drops[:, 1] >= drops[:, 0])
+    )
+    stop = converged | unbounded | (2 * cutoff > max_cutoff)
+    going = []
+    for j, lane in enumerate(idx.tolist()):
+        if not stop[j]:
+            going.append(lane)
+            continue
+        if converged[j]:
+            classification = (
+                Classification.COLLAPSED_DEGENERATE if collapsed[j] else Classification.CONVERGED
+            )
+        else:
+            classification = (
+                Classification.UNBOUNDED_BELOW if unbounded[j] else Classification.UNDETERMINED
+            )
+        lane_rows, n = rows[ok[j]], int(count[j]) + 1
+        yield lane, (
+            Spectrum(
+                energies[j],
+                cutoff,
+                sectors=(sectors[j, 0], sectors[j, 1]),
+                chains=(
+                    HamiltonianMatrix(lane_rows[0::2], cutoff, +1),
+                    HamiltonianMatrix(lane_rows[1:], cutoff, -1),
+                ),
+                bisections=tuple(solved[ok[j]]) if k == 1 else None,
+            ),
+            ConvergenceReport(
+                classification=classification,
+                final_cutoff=cutoff,
+                # the cutoffs of a lane's doubling end at this one
+                history=[
+                    (cutoff >> (n - 1 - r), state.levels[lane, r].copy()) for r in range(n - 1)
+                ]
+                + [(cutoff, energies[j])],
+                tolerance=tol,
+                drift_rate=float(e0[j] - recent[j, 2, 0]) if n > 1 else np.nan,
+                degeneracy_window=degeneracy_window,
+            ),
+        )
+    return going
+
+
 def converged_spectrum(
     params: ModelParams,
     k: int,
@@ -208,7 +385,8 @@ def converged_spectrum(
     start_cutoff: int = DEFAULT_START_CUTOFF,
     degeneracy_window: float = DEFAULT_DEGENERACY_WINDOW,
 ) -> tuple[Spectrum, ConvergenceReport]:
-    """Doubling-schedule spectrum with convergence classification.
+    """Doubling-schedule spectrum with convergence classification: the
+    batch of one of the lane controller (_converge_lanes).
 
     Classification rules, applied on the recorded history:
       Converged          max level drift over the last doubling <= tol
@@ -221,45 +399,9 @@ def converged_spectrum(
                          shrinking (shrinking drops are slow convergence)
       Undetermined       budget exhausted without meeting any rule
     """
-    if not 0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    history: list[tuple[int, np.ndarray]] = []
-    drops: list[float] = []
-    classification = Classification.UNDETERMINED
-    drift_rate = np.nan
-
-    for cutoff in _doubling_schedule(start_cutoff, max_cutoff, k):
-        spec = spectrum_at_cutoff(params, cutoff, k)
-        history.append((cutoff, spec.energies))
-        if len(history) >= 2:
-            prev = history[-2][1]
-            drift = float(abs(spec.energies - prev).max())
-            drift_rate = float(spec.energies[0] - prev[0])
-            drops.append(prev[0] - spec.energies[0])
-            if drift <= tol:
-                e0 = spec.energies[0]
-                stacked = any(len(s) > 1 and s[1] - e0 <= degeneracy_window for s in spec.sectors)
-                collapsed = spec.energies[-1] - e0 <= degeneracy_window and stacked
-                classification = (
-                    Classification.COLLAPSED_DEGENERATE if collapsed else Classification.CONVERGED
-                )
-                break
-            if (
-                len(drops) >= 3
-                and all(d > 10 * tol for d in drops[-3:])
-                and drops[-1] >= drops[-2] >= drops[-3]
-            ):
-                classification = Classification.UNBOUNDED_BELOW
-                break
-
-    return spec, ConvergenceReport(
-        classification=classification,
-        final_cutoff=spec.cutoff,
-        history=history,
-        tolerance=tol,
-        drift_rate=drift_rate,
-        degeneracy_window=degeneracy_window,
+    [(_, outcome)] = _converge_lanes(
+        [params], k, tol, max_cutoff, [start_cutoff], degeneracy_window
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -26,7 +26,7 @@ class Variant(str, Enum):
     COMPLETED = "completed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """The five couplings plus the model-variant tag.
 
@@ -102,34 +102,50 @@ def check_cutoff(cutoff) -> int:
     return cutoff
 
 
-def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
-    """The parity +1 and -1 chains of the truncated Hamiltonian for the
-    requested variant, as views of one (3, cutoff + 1) array.
+def build_chain_block(points, cutoff: int) -> np.ndarray:
+    """The chain rows of every point at one cutoff, as a (len(points), 3,
+    cutoff + 1) array: lane i holds the +1 diagonal, the -1 diagonal and the
+    shared off-diagonal of points[i], and build_chains is its one-lane case.
 
     Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
     Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
+    Each lane rounds as that formula does for its own couplings, bit for bit
+    (check_cutoff bounds the cutoff).  An entry that overflows is inf, which
+    the chain solver refuses, so the block warns of no overflow.
+    """
+    cutoff = check_cutoff(cutoff)
+    omega, delta, g, u, kappa = np.array(
+        [(p.omega, p.delta, p.g, p.effective_u, p.effective_kappa) for p in points], dtype=float
+    ).reshape(-1, 5, 1).transpose(1, 0, 2)
+    n = np.arange(cutoff + 1, dtype=float)
+    rows = np.empty((len(omega), 3, cutoff + 1))
+    plus, minus, off = rows[:, 0], rows[:, 1], rows[:, 2]
+    with np.errstate(over="ignore"):
+        # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
+        # the same products and sums in the same order, and s = +-1 is exact
+        np.multiply(u, n, out=plus)
+        plus /= 2
+        plus += delta / 2
+        plus[:, 1::2] *= -1.0  # s_n = (-1)^n on the +1 chain, -(-1)^n on the -1 chain
+        np.negative(plus, out=minus)
+        np.multiply(omega, n, out=off)  # scratch until sqrt(n) fills it
+        rows[:, :2] += off[:, None]
+        np.sqrt(n[1:], out=off[:, :cutoff])
+        off[:, :cutoff] *= g
+        off[:, cutoff] = 0.0
+        n *= n
+        rows[:, :2] += (n * kappa)[:, None]
+    return rows
+
+
+def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
+    """The parity +1 and -1 chains of the truncated Hamiltonian for the
+    requested variant, as views of one build_chain_block lane.
     DEFAULT_MAX_DIM bounds the full dimension 2 (cutoff + 1) of both chains
     (check_cutoff).
     """
-    cutoff = check_cutoff(cutoff)
-    n = np.arange(cutoff + 1, dtype=float)
-    rows = np.empty((3, cutoff + 1))
-    plus, minus, off = rows
-    # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
-    # the same products and sums in the same order, and s = +-1 is exact
-    np.multiply(params.effective_u, n, out=plus)
-    plus /= 2
-    plus += params.delta / 2
-    plus[1::2] *= -1.0  # s_n = (-1)^n on the +1 chain, -(-1)^n on the -1 chain
-    np.negative(plus, out=minus)
-    np.multiply(params.omega, n, out=off)  # scratch until sqrt(n) fills it
-    rows[:2] += off
-    np.sqrt(n[1:], out=off[:cutoff])
-    off[:cutoff] *= params.g
-    off[cutoff] = 0.0
-    n *= n
-    n *= params.effective_kappa
-    rows[:2] += n
+    rows = build_chain_block([params], cutoff)[0]
+    cutoff = rows.shape[1] - 1
     return HamiltonianMatrix(rows[0::2], cutoff, +1), HamiltonianMatrix(rows[1:], cutoff, -1)
 
 

@@ -10,7 +10,8 @@ import numpy as np
 from .analytic import refine_bracket
 from .colimit import check_co_regime
 from .eigen import DEFAULT_MAX_CUTOFF, DEFAULT_START_CUTOFF, DEFAULT_TOL, Classification
-from .eigen import _doubling_schedule, converged_spectrum, eigen_symmetric, spectrum_at_cutoff
+from .eigen import _converge_lanes, _doubling_schedule, converged_spectrum, eigen_symmetric
+from .eigen import spectrum_at_cutoff
 from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
@@ -40,29 +41,44 @@ def initial_cutoff(params: ModelParams) -> int:
     return max(DEFAULT_START_CUTOFF, 4 * math.ceil(n_star))
 
 
-def _sector_crossing(params, name, lo, hi, cutoff, a=0, b=0) -> tuple[float, float]:
-    """Root of E+_a - E-_b in [lo, hi] along parameter name, at a fixed cutoff.
+def _sector_crossing(
+    params, name, lo, hi, cutoffs, a, b, f_lo=None, f_hi=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of E+_a - E-_b along parameter name, one lane per bracket
+    [lo[i], hi[i]] with its own cutoffs[i], a[i] and b[i].
 
     A chain with g > 0 has a simple spectrum, so every true level crossing
-    is one between the two sectors.  Refines the bracket with the lambda
-    solver's Illinois iteration (refine_bracket) to |dx| <= CROSSING_XTOL
-    or float spacing and returns the best iterate with |E+_a - E-_b| there;
-    raises ValueError when the bracket holds no sign change.
+    is one between the two sectors.  Each difference is evaluated through
+    spectrum_at_cutoff, except at a bracket end whose f_lo[i] or f_hi[i] is
+    given (not NaN): the difference there, already solved at that cutoff
+    with that level count.  All lanes are refined in one call of the lambda
+    solver's Illinois iteration (refine_bracket), each to
+    |dx| <= CROSSING_XTOL or float spacing, which leaves every lane's bits
+    as a refinement of its own.  Returns each lane's best iterate and
+    |E+_a - E-_b| there; raises ValueError, for the first such lane, when a
+    bracket holds no sign change.
     """
+    lanes = list(zip(cutoffs, a, b))
 
-    def diff(x):
+    def diff(i, x):
+        cutoff, a_i, b_i = lanes[i]
         p = dc_replace(params, **{name: x})
-        plus, minus = spectrum_at_cutoff(p, cutoff, max(a, b) + 1).sectors
-        return float(plus[a] - minus[b])
+        plus, minus = spectrum_at_cutoff(p, cutoff, max(a_i, b_i) + 1).sectors
+        return float(plus[a_i] - minus[b_i])
 
-    lo, hi = float(lo), float(hi)
-    f_lo, f_hi = diff(lo), diff(hi)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError(f"E+_{a} - E-_{b} does not change sign for {name} in [{lo}, {hi}]")
+    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+    ends = []
+    for xs, known in ((lo, f_lo), (hi, f_hi)):
+        known = [math.nan] * len(lanes) if known is None else np.asarray(known).tolist()
+        ends.append([diff(i, x) if math.isnan(f) else f for i, (x, f) in enumerate(zip(xs, known))])
+    for (_, a_i, b_i), x0, x1, f0, f1 in zip(lanes, lo, hi, *ends):
+        if (f0 > 0.0) == (f1 > 0.0):
+            raise ValueError(f"E+_{a_i} - E-_{b_i} does not change sign for {name} in [{x0}, {x1}]")
     x, fx = refine_bracket(
-        lambda _, xs: [diff(v) for v in xs.tolist()], [lo], [f_lo], [hi], [f_hi], CROSSING_XTOL
+        lambda idx, xs: [diff(i, x) for i, x in zip(idx.tolist(), xs.tolist())],
+        lo, ends[0], hi, ends[1], CROSSING_XTOL,
     )
-    return float(x[0]), abs(float(fx[0]))
+    return x, np.abs(fx)
 
 
 def _refuse_unsettled(report, where: str) -> None:
@@ -73,43 +89,66 @@ def _refuse_unsettled(report, where: str) -> None:
         raise DivergentSpectrumError(f"{where} did not converge by cutoff {report.final_cutoff}")
 
 
-def _mean_photon_detail(
-    params: ModelParams, tol: float, start_cutoff: int | None, max_cutoff: int
-) -> tuple[float, int]:
-    if start_cutoff is None:
-        start_cutoff = initial_cutoff(params)
-    spec, report = converged_spectrum(
-        params, k=1, tol=tol, max_cutoff=max_cutoff, start_cutoff=start_cutoff
+def _ground_occupation(params: ModelParams, spec, report, max_cutoff: int):
+    """(<a^dag a>, the cutoff whose Fock tail accepted it, E+_0 - E-_0 at
+    that cutoff when it is the converged one, else NaN) of one point."""
+    _refuse_unsettled(
+        report, f"spectrum at u = {params.effective_u}, kappa = {params.effective_kappa}"
     )
-    where = f"spectrum at u = {params.effective_u}, kappa = {params.effective_kappa}"
-    _refuse_unsettled(report, where)
-
     # the ground state lives in the sector chain with the lower ground level
-    # (+1 on a tie), and chain site n carries n photons
+    # (+1 on a tie), and chain site n carries n photons; at the converged
+    # cutoff its vector reuses the bisection that solved the chain
     plus, minus = spec.sectors
-    h = spec.chains[0 if plus[0] <= minus[0] else 1]
+    sector = 0 if plus[0] <= minus[0] else 1
+    h, bisection = spec.chains[sector], spec.bisections[sector]
     for cutoff in _doubling_schedule(spec.cutoff, max_cutoff, 1):
         if cutoff > spec.cutoff:
-            h = build_hamiltonian(params, cutoff, parity=h.parity)
-        occ = eigen_symmetric(h, 1, want_vectors=True).vectors[:, 0] ** 2
+            h, bisection = build_hamiltonian(params, cutoff, parity=h.parity), None
+        occ = eigen_symmetric(h, 1, want_vectors=True, bisection=bisection).vectors[:, 0] ** 2
         if occ[-2:].sum() < TAIL_TOL:  # top two Fock levels
-            return float(occ @ np.arange(cutoff + 1)), cutoff
+            gap = plus[0] - minus[0] if cutoff == spec.cutoff else math.nan
+            return occ @ np.arange(cutoff + 1), cutoff, gap
     raise DivergentSpectrumError(
         f"Fock tail does not fall below {TAIL_TOL} within cutoff {max_cutoff}"
     )
 
 
+def _mean_photon_detail(points, tol: float, start_cutoff: int | None, max_cutoff: int):
+    """_ground_occupation of every point, as three arrays: its spectrum
+    converged as one lane of _converge_lanes (from start_cutoff, by default
+    initial_cutoff) and its ground vector solved while the lane's block is
+    held.  Raises the error of the first point, in order, that has one."""
+    starts = [initial_cutoff(p) if start_cutoff is None else start_cutoff for p in points]
+    nbar, gaps = np.empty(len(points)), np.empty(len(points))
+    cutoffs = np.empty(len(points), dtype=np.int64)
+    errors = {}
+    for lane, outcome in _converge_lanes(points, 1, tol, max_cutoff, starts):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            nbar[lane], cutoffs[lane], gaps[lane] = _ground_occupation(
+                points[lane], *outcome, max_cutoff
+            )
+        except (ValueError, RuntimeError) as exc:  # a refused point: the first in order is raised
+            errors[lane] = exc
+        del outcome  # the block goes before the generator builds the next one
+    if errors:
+        raise errors[min(errors)]
+    return nbar, cutoffs, gaps
+
+
 def mean_photon_ground(
     params: ModelParams, tol: float = DEFAULT_TOL, max_cutoff: int = DEFAULT_MAX_CUTOFF
 ) -> float:
-    """<a^dag a> in the converged ground state.
+    """<a^dag a> in the converged ground state: the batch of one of a
+    staircase scan's points.
 
     The cutoff is raised until the spectrum classifies Converged and the
     occupation of the top two Fock levels falls below TAIL_TOL.  Refuses
     with DivergentSpectrumError when the spectrum is unbounded below
     (original model past the collapse point) or did not converge by max_cutoff.
     """
-    return _mean_photon_detail(params, tol, None, max_cutoff)[0]
+    return float(_mean_photon_detail([params], tol, None, max_cutoff)[0][0])
 
 
 @dataclass
@@ -185,18 +224,20 @@ def staircase_scan(
     check_co_regime(params, allow_small_ratio)
     u_values, step = staircase_grid(params, u_values, start_cutoff)
 
-    results = [
-        _mean_photon_detail(dc_replace(params, u=float(u)), tol, start_cutoff, DEFAULT_MAX_CUTOFF)
-        for u in u_values
-    ]
-    nbar = np.array([r[0] for r in results])
-    cutoffs = [r[1] for r in results]
+    points = [dc_replace(params, u=float(u)) for u in u_values]
+    nbar, cutoffs, gaps = _mean_photon_detail(points, tol, start_cutoff, DEFAULT_MAX_CUTOFF)
 
-    edges = [
-        _sector_crossing(params, "u", u_values[i], u_values[i + 1], max(cutoffs[i : i + 2]))[0]
-        for i in range(len(u_values) - 1)
-        if nbar[i + 1] - nbar[i] >= 0.5
-    ]
+    # an edge is refined at the larger of its two points' cutoffs, and an end
+    # reuses its point's E+_0 - E-_0 where that was solved at this cutoff
+    jumps = np.flatnonzero(np.diff(nbar) >= 0.5)
+    refine_at = np.maximum(cutoffs[jumps], cutoffs[jumps + 1])
+    known = [np.where(cutoffs[end] == refine_at, gaps[end], np.nan) for end in (jumps, jumps + 1)]
+    zeros = [0] * len(jumps)
+    x, _ = _sector_crossing(
+        params, "u", u_values[jumps], u_values[jumps + 1], refine_at.tolist(), zeros, zeros, *known
+    )
+    edges = x.tolist()
+    cutoffs = cutoffs.tolist()
     widths = [edges[j + 1] - edges[j] for j in range(len(edges) - 1)]
 
     # plateau values: average over interior points at least one grid step
@@ -277,16 +318,22 @@ def detect_level_crossings(
         sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)
 
-    events: list[CrossingEvent] = []
+    brackets = []  # (point, a, b) of each sign change
     for i in range(len(values) - 1):
         (plus_lo, minus_lo), (plus_hi, minus_hi) = sectors[i], sectors[i + 1]
         for a in range(min(len(plus_lo), len(plus_hi))):
             for b in range(min(len(minus_lo), len(minus_hi), levels - 1 - a)):
-                if (plus_lo[a] > minus_lo[b]) == (plus_hi[a] > minus_hi[b]):
-                    continue
-                x, gap = _sector_crossing(
-                    params, param_name, values[i], values[i + 1], max(cutoffs[i : i + 2]), a, b
-                )
-                events.append(CrossingEvent(value=x, pair=(a + b, a + b + 1), gap=gap))
+                if (plus_lo[a] > minus_lo[b]) != (plus_hi[a] > minus_hi[b]):
+                    brackets.append((i, a, b))
+    at = [i for i, _, _ in brackets]
+    x, gap = _sector_crossing(
+        params, param_name, values[at], values[[i + 1 for i in at]],
+        [max(cutoffs[i : i + 2]) for i in at], [a for _, a, _ in brackets],
+        [b for _, _, b in brackets],
+    )
+    events = [
+        CrossingEvent(value=v, pair=(a + b, a + b + 1), gap=d)
+        for v, d, (_, a, b) in zip(x.tolist(), gap.tolist(), brackets)
+    ]
     events.sort(key=lambda ev: (ev.value, ev.pair))
     return events

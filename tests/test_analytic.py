@@ -2,6 +2,7 @@
 and the ground-state error map."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -556,3 +557,24 @@ def test_ladder_degree_bound_is_checked_before_any_lambda(monkeypatch):
         with pytest.raises(ValueError, match=r"^degree 10001 exceeds supported maximum 10000$"):
             batch([p], 9999)
     analytic.check_ladder(9998)
+
+
+def test_an_overflowing_bracket_scan_solves_as_before_without_a_warning():
+    # at delta = 1e200 the product of neighbouring residuals in the bracket
+    # scan overflows; only its sign is read, so the lambdas, residuals and
+    # refusals are those of a run that lets the overflow warn
+    p = ModelParams(delta=1e200, g=0.2, u=0.5, variant=Variant.RABI_STARK)
+    lanes = analytic._Lanes.of([p], [(0, 1), (0, -1), (1, 1), (1, -1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, residual, errors = analytic._solve_lambdas(lanes)
+        [spectrum] = analytic_spectra([p], 2)
+    assert lam.tolist() == [-2.000061036087582e-201] * 2 + [-2.0001220749692648e-201] * 2
+    assert residual.tolist() == [-6.103608758190049e-06] * 2 + [-1.2207496926458505e-05] * 2
+    assert errors == [
+        f"lambda root residual {r} exceeds 1e-10 (n={n}, t_z={t})"
+        for r, n, t in [("-6.104e-06", 0, 1), ("-6.104e-06", 0, -1),
+                        ("-1.221e-05", 1, 1), ("-1.221e-05", 1, -1)]
+    ]
+    assert isinstance(spectrum, LambdaSolveError)
+    assert str(spectrum) == "lambda root residual -6.104e-06 exceeds 1e-10 (n=0, t_z=-1)"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from rabistark.eigen import (
     eigen_symmetric,
     spectrum_at_cutoff,
 )
-from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant, build_hamiltonian
+from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant, build_chain_block
+from rabistark.fockspace import build_chains, build_hamiltonian
 
 
 def chain(d, e) -> HamiltonianMatrix:
@@ -79,6 +81,61 @@ def test_chain_solver_matches_eigh_tridiagonal_bit_for_bit(de, k_frac, want_vect
     v[:, flip] *= -1.0
     assert np.array_equal(spec.energies, w)
     assert np.array_equal(spec.vectors, v)
+
+
+lane_points = st.builds(
+    ModelParams,
+    delta=st.floats(0.0, 1e3),
+    g=st.floats(0.0, 2.0),
+    u=st.floats(-3.0, 3.0),
+    kappa=st.floats(0.0, 0.5),
+    variant=st.sampled_from(list(Variant)),
+)
+
+
+@given(points=st.lists(lane_points, min_size=1, max_size=5), cutoff=st.integers(1, 200),
+       k_frac=st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_lane_solver_levels_equal_eigen_symmetric_per_chain(points, cutoff, k_frac):
+    k = 1 + int(k_frac * cutoff)
+    solved = eigen._solve_block(build_chain_block(points, cutoff), k, "B" if k == 1 else "E")
+    for p, chains in zip(points, solved):
+        for h, (levels, _, _) in zip(build_chains(p, cutoff), chains):
+            assert np.array_equal(levels, eigen_symmetric(h, k).energies)
+
+
+@given(de=chains(min_dim=1))
+@settings(max_examples=120, deadline=None)
+def test_one_level_bisection_is_the_same_in_either_order(de):
+    # ORDER='B' groups levels by split block and 'E' sorts them; one level is both
+    d, e = de
+    rows = chain(d, e).band[None]
+    [[(by_block, _, _)]], [[(sorted_, _, _)]] = (eigen._solve_block(rows, 1, o) for o in "BE")
+    assert np.array_equal(by_block, sorted_)
+
+
+@given(points=st.lists(lane_points, min_size=1, max_size=4), cutoff=st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_vector_from_a_reused_bisection_equals_a_fresh_solve(points, cutoff):
+    solved = eigen._solve_block(build_chain_block(points, cutoff), 1, "B")
+    for p, chains in zip(points, solved):
+        for h, bisection in zip(build_chains(p, cutoff), chains):
+            fresh = eigen_symmetric(h, 1, want_vectors=True)
+            reused = eigen_symmetric(h, 1, want_vectors=True, bisection=bisection)
+            assert np.array_equal(reused.energies, fresh.energies)
+            assert np.array_equal(reused.vectors, fresh.vectors)
+
+
+def test_an_overflowing_chain_is_refused_without_a_warning():
+    # kappa n^2 overflows the diagonal; the block build ignores the overflow
+    # and the lane solver refuses the inf
+    p = ModelParams(delta=1.0, g=0.2, kappa=1e305, variant=Variant.COMPLETED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            spectrum_at_cutoff(p, 64, 2)
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            converged_spectrum(p, 2)
 
 
 def test_chain_solver_failures_raise_solver_error(monkeypatch):

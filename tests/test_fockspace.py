@@ -16,6 +16,7 @@ from rabistark.fockspace import (
     DEFAULT_MAX_DIM,
     ModelParams,
     Variant,
+    build_chain_block,
     build_chains,
     build_hamiltonian,
 )
@@ -149,6 +150,29 @@ def test_chain_pair_bit_identical_to_single_chains(omega, delta, g, u, kappa, va
         diag, off = reference_chain(p, cutoff, parity)
         assert np.array_equal(h.band[0], diag) and np.array_equal(h.band[1], off)
         assert np.array_equal(build_hamiltonian(p, cutoff, parity).band, h.band)
+
+
+model_params = st.builds(
+    ModelParams,
+    omega=st.floats(min_value=0.05, max_value=5.0),
+    delta=either_or_zero(st.floats(min_value=0.0, max_value=1e3)),
+    g=either_or_zero(couplings),
+    u=either_or_zero(st.floats(min_value=-5.0, max_value=5.0)),
+    kappa=either_or_zero(st.floats(min_value=0.0, max_value=1.0)),
+    variant=st.sampled_from(list(Variant)),
+)
+
+
+@given(points=st.lists(model_params, min_size=1, max_size=6),
+       cutoff=st.integers(min_value=1, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_lane_block_rows_equal_build_chains_per_lane(points, cutoff):
+    # lanes of mixed variants and couplings, each its own build_chains, bit for bit
+    rows = build_chain_block(points, cutoff)
+    assert rows.shape == (len(points), 3, cutoff + 1)
+    for lane, p in zip(rows, points):
+        plus, minus = build_chains(p, cutoff)
+        assert np.array_equal(lane[0::2], plus.band) and np.array_equal(lane[1:], minus.band)
 
 
 def test_parity_commutator_exactly_zero():

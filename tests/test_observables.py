@@ -10,9 +10,10 @@ import rabistark.eigen as eigen
 import rabistark.observables as observables
 from rabistark.analytic import LambdaMode, solve_lambda
 from rabistark.colimit import CoRegimeError, crossing_ladder
-from rabistark.eigen import converged_spectrum, spectrum_at_cutoff
+from rabistark.eigen import DEFAULT_MAX_CUTOFF, DEFAULT_TOL, converged_spectrum, spectrum_at_cutoff
 from rabistark.fockspace import HamiltonianMatrix, ModelParams, Variant
 from rabistark.observables import (
+    TAIL_TOL,
     DivergentSpectrumError,
     ResolutionError,
     detect_level_crossings,
@@ -190,31 +191,50 @@ def test_crossing_scan_reuses_the_converged_sector_levels(monkeypatch):
 
 @pytest.fixture
 def chain_solves(monkeypatch):
-    """Log of (cutoff, want_vectors) for every sector-chain solve."""
-    log, real = [], eigen.eigen_symmetric
+    """Log of (cutoff, want_vectors) for every sector-chain solve: each chain
+    the lane solver bisects (values) and each vector eigen_symmetric solves.
+    A vector solve that reuses its chain's bisection logs only the vector."""
+    log, real_block, real_eigen = [], eigen._solve_block, eigen.eigen_symmetric
 
-    def counting(h, k, want_vectors=False):
-        log.append((h.cutoff, want_vectors))
-        return real(h, k, want_vectors)
+    def counting_block(rows, k, order):
+        log.extend([(rows.shape[-1] - 1, False)] * (len(rows) * (rows.shape[1] - 1)))
+        return real_block(rows, k, order)
 
+    def counting(h, k, want_vectors=False, bisection=None):
+        if want_vectors:
+            log.append((h.cutoff, True))
+        return real_eigen(h, k, want_vectors, bisection=bisection)
+
+    monkeypatch.setattr(eigen, "_solve_block", counting_block)
     monkeypatch.setattr(eigen, "eigen_symmetric", counting)
     monkeypatch.setattr(observables, "eigen_symmetric", counting)
     return log
 
 
 def test_refined_crossing_costs_few_chain_solves(monkeypatch, chain_solves):
-    # each crossing or edge is refined by the Illinois iteration on
-    # E+_a - E-_b: two endpoint evaluations plus a few steps, two chain
-    # solves per evaluation (a bisection to 1e-12 needs 64-78)
-    costs, real = [], observables._sector_crossing
+    # the crossings or edges of a scan are the lanes of one Illinois
+    # refinement on E+_a - E-_b: per lane two endpoint evaluations (fewer
+    # where the scan solved them already) plus a few steps, two chain solves
+    # per evaluation (a bisection to 1e-12 needs 64-78); an evaluation is
+    # charged to every bracket that holds it
+    costs, evaluations = [], []
+    real_crossing, real_spectrum = observables._sector_crossing, observables.spectrum_at_cutoff
 
-    def measured(*args, **kwargs):
+    def measured(params, name, lo, hi, *args):
+        evaluations.clear()
+        out = real_crossing(params, name, lo, hi, *args)
+        for a, b in zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()):
+            costs.append(sum(n for x, n in evaluations if a <= x <= b))
+        return out
+
+    def located(p, cutoff, k):
         start = len(chain_solves)
-        out = real(*args, **kwargs)
-        costs.append(len(chain_solves) - start)
+        out = real_spectrum(p, cutoff, k)
+        evaluations.append((p.u, len(chain_solves) - start))
         return out
 
     monkeypatch.setattr(observables, "_sector_crossing", measured)
+    monkeypatch.setattr(observables, "spectrum_at_cutoff", located)
     p = ModelParams(delta=1.0, g=0.2, u=0.0, kappa=0.01, variant=CO)
     events = detect_level_crossings(p, "u", np.arange(1.85, 2.3001, 0.01), levels=2)
     assert len(events) == len(costs) == 5
@@ -222,7 +242,7 @@ def test_refined_crossing_costs_few_chain_solves(monkeypatch, chain_solves):
         ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO), np.arange(1.95, 2.56, 0.02)
     )
     assert len(costs) == 5 + len(report.edges) > 5
-    assert max(costs) <= 24
+    assert 0 < max(costs) <= 24
 
 
 def test_mean_photon_solves_one_chain_with_vectors_per_tail_cutoff(monkeypatch, chain_solves):
@@ -239,27 +259,23 @@ def test_mean_photon_solves_one_chain_with_vectors_per_tail_cutoff(monkeypatch, 
 
 
 def test_converged_point_builds_each_cutoff_once(monkeypatch, chain_solves):
-    # spectrum_at_cutoff builds both chains of its cutoff in one call, and the
-    # ground vector is solved on the chain built at the converged cutoff
-    builds, spectra = [], []
-    real_build, real_spectrum = eigen.build_chains, eigen.spectrum_at_cutoff
+    # the lane controller builds both chains of a cutoff as one block row, and
+    # the ground vector is solved on the chain built at the converged cutoff,
+    # reusing the bisection that solved its level
+    builds, real_build = [], eigen.build_chain_block
 
-    def counting_build(params, cutoff, *args):
-        builds.append(cutoff)
-        return real_build(params, cutoff, *args)
-
-    def counting_spectrum(params, cutoff, k):
-        spectra.append(cutoff)
-        return real_spectrum(params, cutoff, k)
+    def counting_build(points, cutoff):
+        builds.extend([cutoff] * len(points))
+        return real_build(points, cutoff)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a chain was built again")
 
-    monkeypatch.setattr(eigen, "build_chains", counting_build)
-    monkeypatch.setattr(eigen, "spectrum_at_cutoff", counting_spectrum)
+    monkeypatch.setattr(eigen, "build_chain_block", counting_build)
+    monkeypatch.setattr(eigen, "build_chains", refuse)
     monkeypatch.setattr(observables, "build_hamiltonian", refuse)
     mean_photon_ground(ModelParams(delta=200.0, g=0.1, u=2.3, kappa=0.05, variant=CO))
-    assert len(builds) == 2 and builds == spectra and len(chain_solves) == 5
+    assert len(builds) == len(set(builds)) == 2 and len(chain_solves) == 5
     assert [c for c in chain_solves if not c[1]] == [(c, False) for c in builds for _ in "+-"]
     assert [c for c in chain_solves if c[1]] == [(builds[-1], True)]
 
@@ -377,3 +393,78 @@ def test_staircase_grid_is_refused_before_any_solve(u_values, start_cutoff, mess
     p = ModelParams(delta=200.0, g=0.1, kappa=kappa, variant=Variant.COMPLETED)
     with pytest.raises(ValueError, match=message):
         observables.staircase_scan(p, u_values, start_cutoff=start_cutoff)
+
+
+def _one_point_staircase(params, u_values):
+    """mean_photon, cutoffs and edges of a staircase scan, point by point:
+    one-lane _mean_photon_detail (mean_photon_ground is its first field) and
+    one-lane _sector_crossing with both ends evaluated afresh."""
+    points = [dc_replace(params, u=float(u)) for u in u_values]
+    detail = [observables._mean_photon_detail([p], DEFAULT_TOL, None, DEFAULT_MAX_CUTOFF)
+              for p in points]
+    nbar = [float(d[0][0]) for d in detail]
+    cutoffs = [int(d[1][0]) for d in detail]
+    assert nbar == [mean_photon_ground(p) for p in points]
+    edges = []
+    for i in range(len(points) - 1):
+        if nbar[i + 1] - nbar[i] >= 0.5:
+            x, _ = observables._sector_crossing(
+                params, "u", [u_values[i]], [u_values[i + 1]], [max(cutoffs[i : i + 2])], [0], [0]
+            )
+            edges.append(float(x[0]))
+    return nbar, cutoffs, edges
+
+
+@pytest.mark.parametrize("params, u_values, tail_tol", [
+    # lanes start at different cutoffs (initial_cutoff grows with u)
+    (ModelParams(delta=1000.0, g=0.1, kappa=1e-3, variant=CO), np.arange(2.19, 2.2101, 0.001),
+     TAIL_TOL),
+    # a Fock tail above 1e-96 at the converged cutoff of some points doubles it
+    (ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO), np.arange(2.0, 2.2001, 0.02),
+     1e-96),
+], ids=["deep segment", "tail doubling"])
+def test_staircase_lanes_equal_the_one_point_route(params, u_values, tail_tol, monkeypatch):
+    monkeypatch.setattr(observables, "TAIL_TOL", tail_tol)
+    report = staircase_scan(params, u_values)
+    nbar, cutoffs, edges = _one_point_staircase(params, u_values)
+    assert report.mean_photon.tolist() == nbar
+    assert report.cutoffs == cutoffs
+    assert report.edges == edges and edges
+    if tail_tol != TAIL_TOL:
+        starts = [initial_cutoff(dc_replace(params, u=float(u))) for u in u_values]
+        assert any(c > 2 * s for c, s in zip(cutoffs, starts))
+
+
+def test_staircase_raises_the_error_of_the_first_failing_point(monkeypatch):
+    # chains of u in (2.05, 2.09) drop by their dimension at every doubling,
+    # so those points are unbounded below after four cutoffs; a chain of
+    # u = 2.14 fails its bisection at once.  The scan raises what the first
+    # failing point in grid order raises alone.
+    params = ModelParams(delta=200.0, g=0.1, kappa=0.05, variant=CO)
+    u_values = np.arange(2.0, 2.2001, 0.02)
+    real = eigen.dstebz
+
+    def faulty(d, e, *args):
+        m, w, iblock, isplit, info = real(d, e, *args)
+        # +1 chain: d[1] = omega + kappa - (u + delta)/2; -1 chain: the sign flips
+        sign = 1.0 if d[0] > 0 else -1.0
+        u = 2.0 * sign * (1.0 + params.kappa - d[1]) - params.delta
+        if 2.05 < u < 2.09:
+            w = w - d.size
+        return m, w, iblock, isplit, 1 if 2.13 < u < 2.15 else info
+
+    monkeypatch.setattr(eigen, "dstebz", faulty)
+    expected = None
+    for u in u_values:
+        try:
+            observables._mean_photon_detail(
+                [dc_replace(params, u=float(u))], DEFAULT_TOL, None, DEFAULT_MAX_CUTOFF
+            )
+        except (ValueError, RuntimeError) as exc:  # the one-point route's first refusal
+            expected = exc
+            break
+    assert isinstance(expected, DivergentSpectrumError)
+    assert str(expected) == "spectrum at u = 2.06, kappa = 0.05 is unbounded from below"
+    with pytest.raises(DivergentSpectrumError) as raised:
+        staircase_scan(params, u_values)
+    assert str(raised.value) == str(expected)
