@@ -270,12 +270,12 @@ def _converge_lanes(
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # one schedule per distinct start, each checked here
+    schedules = {s: _doubling_schedule(s, max_cutoff, k) for s in dict.fromkeys(start_cutoffs)}
     pending: dict[int, list[int]] = {}
-    rounds = 0
     for lane, start in enumerate(start_cutoffs):
-        schedule = _doubling_schedule(start, max_cutoff, k)
-        pending.setdefault(schedule[0], []).append(lane)
-        rounds = max(rounds, len(schedule))
+        pending.setdefault(schedules[start][0], []).append(lane)
+    rounds = max(map(len, schedules.values()), default=0)
     state = _LaneState(np.zeros((len(points), rounds, k)), np.zeros(len(points), dtype=np.int64))
     while pending:
         cutoff = min(pending)
@@ -316,25 +316,26 @@ def _block_round(points, block, cutoff, k, tol, max_cutoff, degeneracy_window, s
     count = state.solved[idx]
     state.levels[idx, count] = energies
     state.solved[idx] = count + 1
-    # the levels of the last four cutoffs, newest last (a lane with fewer repeats its first)
-    recent = state.levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0)]
-    drift = np.abs(energies - recent[:, 2]).max(axis=1)
-    drops = recent[:, :3, 0] - recent[:, 1:, 0]  # ground-level drops, newest last
-    converged = (count >= 1) & (drift <= tol)
     e0 = energies[:, 0]
-    # spread of the tracked levels, and a sector holding two levels near the ground
-    collapsed = (energies[:, -1] - e0 <= degeneracy_window) & (
-        (sectors[:, :, 1] - e0[:, None] <= degeneracy_window).any(axis=1)
-        if m > 1
-        else False
-    )
-    unbounded = (
-        ~converged
-        & (count >= 3)
-        & (drops > 10 * tol).all(axis=1)
-        & (drops[:, 2] >= drops[:, 1])
-        & (drops[:, 1] >= drops[:, 0])
-    )
+    prev = state.levels[idx, np.maximum(count - 1, 0)]  # a lane's first cutoff compares to itself
+    converged = (count >= 1) & (np.abs(energies - prev).max(axis=1) <= tol)
+    collapsed = unbounded = np.zeros(len(ok), dtype=bool)
+    if m > 1 and converged.any():
+        # the tracked levels' spread, and a sector holding two levels near the ground
+        collapsed = (energies[:, -1] - e0 <= degeneracy_window) & (
+            sectors[:, :, 1] - e0[:, None] <= degeneracy_window
+        ).any(axis=1)
+    if count.max() >= 3:
+        # the ground levels of the last four cutoffs and their three drops, newest last
+        ground = state.levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0), 0]
+        drops = ground[:, :3] - ground[:, 1:]
+        unbounded = (
+            ~converged
+            & (count >= 3)
+            & (drops > 10 * tol).all(axis=1)
+            & (drops[:, 2] >= drops[:, 1])
+            & (drops[:, 1] >= drops[:, 0])
+        )
     stop = converged | unbounded | (2 * cutoff > max_cutoff)
     going = []
     for j, lane in enumerate(idx.tolist()):
@@ -370,7 +371,7 @@ def _block_round(points, block, cutoff, k, tol, max_cutoff, degeneracy_window, s
                 ]
                 + [(cutoff, energies[j])],
                 tolerance=tol,
-                drift_rate=float(e0[j] - recent[j, 2, 0]) if n > 1 else np.nan,
+                drift_rate=float(e0[j] - prev[j, 0]) if n > 1 else np.nan,
                 degeneracy_window=degeneracy_window,
             ),
         )

@@ -114,11 +114,13 @@ def build_chain_block(points, cutoff: int) -> np.ndarray:
     the chain solver refuses, so the block warns of no overflow.
     """
     cutoff = check_cutoff(cutoff)
-    omega, delta, g, u, kappa = np.array(
+    couplings = np.array(
         [(p.omega, p.delta, p.g, p.effective_u, p.effective_kappa) for p in points], dtype=float
-    ).reshape(-1, 5, 1).transpose(1, 0, 2)
+    ).reshape(-1, 5, 1)
+    omega, delta, g = couplings[:, 0], couplings[:, 1], couplings[:, 2]  # each (lanes, 1)
+    u, kappa = couplings[:, 3], couplings[:, 4]
     n = np.arange(cutoff + 1, dtype=float)
-    rows = np.empty((len(omega), 3, cutoff + 1))
+    rows = np.empty((len(couplings), 3, cutoff + 1))
     plus, minus, off = rows[:, 0], rows[:, 1], rows[:, 2]
     with np.errstate(over="ignore"):
         # in place, rounding as omega n + s (delta/2 + u n / 2) + kappa n^2 does:
