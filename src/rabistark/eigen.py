@@ -258,8 +258,9 @@ def _converge_lanes(
     """The doubling of converged_spectrum, run over lanes, one per point.
 
     Every round takes the lanes at the lowest pending cutoff and builds and
-    solves them in blocks of at most _BLOCK_BUDGET chain-row entries
-    (_block_round); a lane that does not stop moves on to twice its cutoff.
+    solves them in blocks of at most _BLOCK_BUDGET chain-row entries, or of
+    one lane where its rows alone are more (_block_round); a lane that does
+    not stop moves on to twice its cutoff.
     Yields (lane, outcome) as each lane stops, outcome being its (Spectrum,
     ConvergenceReport) or the error its chains raised.  The Spectrum's
     chains are views of its block and, for k = 1, its bisections are that

@@ -110,8 +110,8 @@ def build_chain_block(points, cutoff: int) -> np.ndarray:
     Diagonal entry at |n, s_n>:  omega n + s_n (delta/2 + u n / 2) + kappa n^2.
     Off-diagonal:                <n+1, -s_n| H |n, s_n> = g sqrt(n+1).
     Each lane rounds as that formula does for its own couplings, bit for bit
-    (check_cutoff bounds the cutoff).  An entry that overflows is inf, which
-    the chain solver refuses, so the block warns of no overflow.
+    (check_cutoff bounds the cutoff).  An entry that overflows becomes inf
+    without a warning; the chain solver refuses it.
     """
     cutoff = check_cutoff(cutoff)
     couplings = np.array(
