@@ -39,6 +39,9 @@ CASES = [
                         "--workers", "2"], "csv"),
     ("spectrum_json", ["spectrum", *_STARK, "--scan", "u=0:1:0.25", "--levels", "4",
                        "--format", "json"], "json"),
+    # 65 levels raise the doubling's start cutoff from 32 to 33
+    ("spectrum_raised_start", ["spectrum", *_STARK, "--scan", "u=0:1:0.5", "--levels", "65"],
+     "csv"),
     ("spectrum_completed", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
                             "--kappa", "0.1", "--scan", "u=1.8:2.4:0.1", "--levels", "6"], "csv"),
     # g = 1.5 and 2.0: the ground lambda fails, only numeric rows are written
@@ -51,6 +54,9 @@ CASES = [
     ("collapse_u1.5", ["collapse-check", *_STARK, "--capital-u", "1.5", "--levels", "4"], "csv"),
     ("collapse_u2.0", ["collapse-check", *_STARK, "--capital-u", "2.0", "--levels", "4"], "csv"),
     ("collapse_u2.2", ["collapse-check", *_STARK, "--capital-u", "2.2", "--levels", "4"], "csv"),
+    # CollapsedDegenerate at cutoff 8192, the one case that reaches that rule
+    ("collapse_u2.0_tol1e-6", ["collapse-check", *_STARK, "--capital-u", "2.0", "--levels", "4",
+                               "--tol", "1e-6"], "csv"),
     ("collapse_fixed_cutoff", ["collapse-check", *_STARK, "--capital-u", "1.5", "--levels", "4",
                                "--cutoff", "64"], "csv"),
     ("collapse_json", ["collapse-check", *_STARK, "--capital-u", "1.0", "--levels", "3",

@@ -5,10 +5,11 @@ Model spectra are solved on the two tridiagonal Z2 parity-sector chains
 controller doubles the Fock cutoff until the tracked levels stop moving
 (Converged), the ground energy keeps dropping (UnboundedBelow) or the
 budget is exhausted (Undetermined).
-Converged spectra whose tracked levels sit inside a declared degeneracy
-window that holds two levels of one parity sector are sub-classified
-CollapsedDegenerate, the numerical signature of spectral collapse at
-u = 2 omega (a Z2 parity doublet has one level per sector).
+Converged spectra whose tracked levels sit inside the fixed degeneracy
+window (DEFAULT_DEGENERACY_WINDOW, 1e-2 omega) that holds two levels of one
+parity sector are sub-classified CollapsedDegenerate, the numerical
+signature of spectral collapse at u = 2 omega (a Z2 parity doublet has one
+level per sector).
 """
 
 import sys
@@ -17,7 +18,6 @@ from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,10 +90,11 @@ class Spectrum:
     energies: np.ndarray
     cutoff: int
     vectors: np.ndarray | None = field(default=None, repr=False)
-    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains, and the chains
+    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    # set by the lane controller only: the two chains and, for k = 1, each
+    # chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
     chains: tuple[HamiltonianMatrix, HamiltonianMatrix] | None = field(default=None, repr=False)
-    # for k = 1, each chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
     bisections: tuple[tuple, tuple] | None = field(default=None, repr=False)
 
 
@@ -157,7 +158,8 @@ def eigen_symmetric(
     same, without that wrapper's per-call argument handling.  bisection may
     hold the (levels, iblock, isplit) of an ORDER='B' solve of this chain
     for the same k, such as Spectrum.bisections, and is then used in place
-    of bisecting again.  Eigenvalues come back ascending.  When vectors are
+    of bisecting again; arrays of other types or shapes are a ValueError.
+    Eigenvalues come back ascending.  When vectors are
     requested they are checked against the residual contract
     ||H v - E v|| <= 1e-8 (1 + |E|), with H v a numpy chain product, and
     normalized with a fixed sign convention (largest-magnitude component
@@ -177,6 +179,16 @@ def eigen_symmetric(
         if isinstance(solved, Exception):
             raise solved
         [bisection] = solved
+    elif not (
+        len(bisection) == 3
+        and all(isinstance(a, np.ndarray) for a in bisection)
+        and bisection[0].shape == (k,)
+        and all(a.dtype == np.int32 and a.shape == (dim,) for a in bisection[1:])
+    ):
+        # dstein's wrapper takes anything, and a None iblock corrupts the interpreter
+        raise ValueError(
+            f"bisection must be dstebz's (levels, iblock, isplit) for k = {k} and dim = {dim}"
+        )
     energies, iblock, isplit = bisection
     if not want_vectors:
         return Spectrum(energies=energies, cutoff=h.cutoff)
@@ -217,11 +229,10 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
     min(k, cutoff + 1) levels of the two parity-sector chains."""
     check_levels(cutoff, k)
     m = min(k, cutoff + 1)
-    chains = build_chains(params, cutoff)
-    plus, minus = (eigen_symmetric(h, m).energies for h in chains)
+    plus, minus = (eigen_symmetric(h, m).energies for h in build_chains(params, cutoff))
     merged = np.concatenate((plus, minus))
     merged.sort()
-    return Spectrum(merged[:k], cutoff, sectors=(plus, minus), chains=chains)
+    return Spectrum(merged[:k], cutoff, sectors=(plus, minus))
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
@@ -239,28 +250,17 @@ def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
     return cutoffs
 
 
-class _LaneState(NamedTuple):
-    """Per lane of _converge_lanes: the levels of every cutoff it solved,
-    (lanes, rounds, k), and how many cutoffs that is."""
-
-    levels: np.ndarray
-    solved: np.ndarray
+_LAST_FOUR = np.arange(-3, 1)
 
 
-def _converge_lanes(
-    points,
-    k: int,
-    tol: float,
-    max_cutoff: int,
-    start_cutoffs,
-    degeneracy_window: float = DEFAULT_DEGENERACY_WINDOW,
-):
+def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
     """The doubling of converged_spectrum, run over lanes, one per point.
 
-    Every round takes the lanes at the lowest pending cutoff and builds and
+    Every round takes the lanes at the lowest pending cutoff, builds and
     solves them in blocks of at most _BLOCK_BUDGET chain-row entries, or of
-    one lane where its rows alone are more (_block_round); a lane that does
-    not stop moves on to twice its cutoff.
+    one lane where its rows alone are more, and applies the drift, drop and
+    degeneracy rules to each block as arrays; a lane that does not stop
+    moves on to twice its cutoff.
     Yields (lane, outcome) as each lane stops, outcome being its (Spectrum,
     ConvergenceReport) or the error its chains raised.  The Spectrum's
     chains are views of its block and, for k = 1, its bisections are that
@@ -277,106 +277,88 @@ def _converge_lanes(
     for lane, start in enumerate(start_cutoffs):
         pending.setdefault(schedules[start][0], []).append(lane)
     rounds = max(map(len, schedules.values()), default=0)
-    state = _LaneState(np.zeros((len(points), rounds, k)), np.zeros(len(points), dtype=np.int64))
+    # per lane, the levels of every cutoff it solved and how many cutoffs that is
+    levels = np.zeros((len(points), rounds, k))
+    nsolved = np.zeros(len(points), dtype=np.int64)
+    window = DEFAULT_DEGENERACY_WINDOW
     while pending:
         cutoff = min(pending)
         lanes = pending.pop(cutoff)
+        m = min(k, cutoff + 1)
         per_block = max(1, _BLOCK_BUDGET // (3 * (cutoff + 1)))
         for first in range(0, len(lanes), per_block):
             block = lanes[first : first + per_block]
-            going = yield from _block_round(
-                points, block, cutoff, k, tol, max_cutoff, degeneracy_window, state
-            )
-            if going:
-                pending.setdefault(2 * cutoff, []).extend(going)
+            rows = build_chain_block([points[i] for i in block], cutoff)
+            solved = _solve_block(rows, m, "B" if k == 1 else "E")
+            ok = []
+            for j, result in enumerate(solved):
+                if isinstance(result, Exception):
+                    yield block[j], result
+                else:
+                    ok.append(j)
+            if not ok:
+                continue
+            idx = np.array([block[j] for j in ok])
+            # each lane's plus levels then its minus levels, merged as spectrum_at_cutoff does
+            sectors = np.array([[plus[0], minus[0]] for plus, minus in (solved[j] for j in ok)])
+            energies = np.sort(sectors.reshape(len(ok), 2 * m), axis=1)[:, :k]
 
-
-_LAST_FOUR = np.arange(-3, 1)
-
-
-def _block_round(points, block, cutoff, k, tol, max_cutoff, degeneracy_window, state):
-    """One block of _converge_lanes: builds and solves the chains of the
-    lanes in block at cutoff, applies the drift, drop and degeneracy rules
-    to them as arrays, yields each lane that stops and returns the others."""
-    m = min(k, cutoff + 1)
-    rows = build_chain_block([points[i] for i in block], cutoff)
-    solved = _solve_block(rows, m, "B" if k == 1 else "E")
-    ok = []
-    for j, result in enumerate(solved):
-        if isinstance(result, Exception):
-            yield block[j], result
-        else:
-            ok.append(j)
-    if not ok:
-        return []
-    idx = np.array([block[j] for j in ok])
-    # each lane's plus levels then its minus levels, merged as spectrum_at_cutoff does
-    sectors = np.array([[plus[0], minus[0]] for plus, minus in (solved[j] for j in ok)])
-    energies = np.sort(sectors.reshape(len(ok), 2 * m), axis=1)[:, :k]
-
-    count = state.solved[idx]
-    state.levels[idx, count] = energies
-    state.solved[idx] = count + 1
-    e0 = energies[:, 0]
-    prev = state.levels[idx, np.maximum(count - 1, 0)]  # a lane's first cutoff compares to itself
-    converged = (count >= 1) & (np.abs(energies - prev).max(axis=1) <= tol)
-    collapsed = unbounded = np.zeros(len(ok), dtype=bool)
-    if m > 1 and converged.any():
-        # the tracked levels' spread, and a sector holding two levels near the ground
-        collapsed = (energies[:, -1] - e0 <= degeneracy_window) & (
-            sectors[:, :, 1] - e0[:, None] <= degeneracy_window
-        ).any(axis=1)
-    if count.max() >= 3:
-        # the ground levels of the last four cutoffs and their three drops, newest last
-        ground = state.levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0), 0]
-        drops = ground[:, :3] - ground[:, 1:]
-        unbounded = (
-            ~converged
-            & (count >= 3)
-            & (drops > 10 * tol).all(axis=1)
-            & (drops[:, 2] >= drops[:, 1])
-            & (drops[:, 1] >= drops[:, 0])
-        )
-    stop = converged | unbounded | (2 * cutoff > max_cutoff)
-    going = []
-    for j, lane in enumerate(idx.tolist()):
-        if not stop[j]:
-            going.append(lane)
-            continue
-        if converged[j]:
-            classification = (
-                Classification.COLLAPSED_DEGENERATE if collapsed[j] else Classification.CONVERGED
-            )
-        else:
-            classification = (
-                Classification.UNBOUNDED_BELOW if unbounded[j] else Classification.UNDETERMINED
-            )
-        lane_rows, n = rows[ok[j]], int(count[j]) + 1
-        yield lane, (
-            Spectrum(
-                energies[j],
-                cutoff,
-                sectors=(sectors[j, 0], sectors[j, 1]),
-                chains=(
-                    HamiltonianMatrix(lane_rows[0::2], cutoff, +1),
-                    HamiltonianMatrix(lane_rows[1:], cutoff, -1),
-                ),
-                bisections=tuple(solved[ok[j]]) if k == 1 else None,
-            ),
-            ConvergenceReport(
-                classification=classification,
-                final_cutoff=cutoff,
-                # the cutoffs of a lane's doubling end at this one
-                history=[
-                    (cutoff >> (n - 1 - r), state.levels[lane, r].copy()) for r in range(n - 1)
-                ]
-                + [(cutoff, energies[j])],
-                tolerance=tol,
-                drift_rate=float(e0[j] - prev[j, 0]) if n > 1 else np.nan,
-                degeneracy_window=degeneracy_window,
-            ),
-        )
-    return going
+            count = nsolved[idx]
+            levels[idx, count] = energies
+            nsolved[idx] = count + 1
+            e0 = energies[:, 0]
+            prev = levels[idx, np.maximum(count - 1, 0)]  # a first cutoff compares to itself
+            converged = (count >= 1) & (np.abs(energies - prev).max(axis=1) <= tol)
+            collapsed = unbounded = np.zeros(len(ok), dtype=bool)
+            if m > 1 and converged.any():
+                # the tracked levels' spread, and a sector holding two levels near the ground
+                collapsed = converged & (energies[:, -1] - e0 <= window) & (
+                    sectors[:, :, 1] - e0[:, None] <= window
+                ).any(axis=1)
+            if count.max() >= 3:
+                # the ground levels of the last four cutoffs and their three drops, newest last
+                ground = levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0), 0]
+                drops = ground[:, :3] - ground[:, 1:]
+                unbounded = (
+                    ~converged
+                    & (count >= 3)
+                    & (drops > 10 * tol).all(axis=1)
+                    & (drops[:, 2] >= drops[:, 1])
+                    & (drops[:, 1] >= drops[:, 0])
+                )
+            stop = converged | unbounded | (2 * cutoff > max_cutoff)
+            for j, lane in enumerate(idx.tolist()):
+                if not stop[j]:
+                    pending.setdefault(2 * cutoff, []).append(lane)
+                    continue
+                classification = (
+                    Classification.COLLAPSED_DEGENERATE if collapsed[j]
+                    else Classification.CONVERGED if converged[j]
+                    else Classification.UNBOUNDED_BELOW if unbounded[j]
+                    else Classification.UNDETERMINED
+                )
+                lane_rows, n = rows[ok[j]], int(count[j]) + 1
+                yield lane, (
+                    Spectrum(
+                        energies[j],
+                        cutoff,
+                        sectors=(sectors[j, 0], sectors[j, 1]),
+                        chains=(
+                            HamiltonianMatrix(lane_rows[0::2], cutoff, +1),
+                            HamiltonianMatrix(lane_rows[1:], cutoff, -1),
+                        ),
+                        bisections=tuple(solved[ok[j]]) if k == 1 else None,
+                    ),
+                    ConvergenceReport(
+                        classification=classification,
+                        final_cutoff=cutoff,
+                        # the cutoffs of a lane's doubling end at this one
+                        history=[(cutoff >> (n - 1 - r), levels[lane, r].copy()) for r in range(n)],
+                        tolerance=tol,
+                        drift_rate=float(e0[j] - prev[j, 0]) if n > 1 else np.nan,
+                        degeneracy_window=window,
+                    ),
+                )
 
 
 def converged_spectrum(
@@ -385,7 +367,6 @@ def converged_spectrum(
     tol: float = DEFAULT_TOL,
     max_cutoff: int = DEFAULT_MAX_CUTOFF,
     start_cutoff: int = DEFAULT_START_CUTOFF,
-    degeneracy_window: float = DEFAULT_DEGENERACY_WINDOW,
 ) -> tuple[Spectrum, ConvergenceReport]:
     """Doubling-schedule spectrum with convergence classification: the
     batch of one of the lane controller (_converge_lanes).
@@ -393,17 +374,15 @@ def converged_spectrum(
     Classification rules, applied on the recorded history:
       Converged          max level drift over the last doubling <= tol
       CollapsedDegenerate  Converged, spread of the k tracked levels
-                           below degeneracy_window, and some parity sector
-                           has two levels within degeneracy_window of the
+                           below DEFAULT_DEGENERACY_WINDOW, and some parity
+                           sector has two levels within that window of the
                            ground level
       UnboundedBelow     ground energy dropped by > 10 tol on each of the
                          last three doublings and the drops are not
                          shrinking (shrinking drops are slow convergence)
       Undetermined       budget exhausted without meeting any rule
     """
-    [(_, outcome)] = _converge_lanes(
-        [params], k, tol, max_cutoff, [start_cutoff], degeneracy_window
-    )
+    [(_, outcome)] = _converge_lanes([params], k, tol, max_cutoff, [start_cutoff])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -58,33 +58,23 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
             f"long double eps is {LONGDOUBLE_EPS:.3e}, no finer than double: the "
             "Laguerre recurrence needs x86 80-bit extended precision"
         )
-    in_order = n.size < 2 or bool((n[:-1] >= n[1:]).all())  # one lane, or a table
-    top = int(n[0] if in_order else n.max()) + span - 1 if n.size else -1
+    top = int(n.max()) + span - 1 if n.size else -1
     if top > MAX_DEGREE:
         raise ValueError(f"degree {top} exceeds supported maximum {MAX_DEGREE}")
     out = np.empty((2, span, n.size))
     if not n.size:
         return out[0], out[1]
-    # lanes by top degree n + span - 1, descending: a counting sort, stable
-    counts = np.bincount(n, minlength=top + 1)
-    order = None if in_order else np.concatenate(
-        [np.flatnonzero(n == v) for v in np.flatnonzero(counts)[::-1].tolist()])
-    n, x = (n, x) if in_order else (n[order], x[order])
-    xl = x.astype(np.longdouble)
+    # lanes by top degree n + span - 1, descending
+    order = np.argsort(-n, kind="stable")
+    n, xl = n[order], x[order].astype(np.longdouble)
     # reach[i] lanes have n >= i + 1 - span: degree d runs over lanes
     # [0, reach[d]), and lanes [reach[d + span], reach[d]) record it in row d - n
-    reach = [n.size] * (span - 1) + np.cumsum(counts[::-1])[::-1].tolist() + [0]
+    reach = np.searchsorted(-n, span - 1 - np.arange(top + span + 1), side="right").tolist()
     k = _ORDERS
 
     def record(degree, values):
         lo, hi = reach[degree + span], reach[degree]
-        if lo == hi:
-            return
-        if n[lo] == n[hi - 1]:  # one row: a slice where the lanes are in order
-            rows, lanes = degree - n[lo], slice(lo, hi)
-        else:  # span > 1 and the lanes fill different rows
-            rows, lanes = degree - n[lo:hi], np.arange(lo, hi)
-        out[:, rows, lanes if order is None else order[lanes]] = values[:, lo:hi]
+        out[:, degree - n[lo:hi], order[lo:hi]] = values[:, lo:hi]
 
     prev = np.ones((2, n.size), dtype=np.longdouble)
     record(0, prev)

@@ -70,9 +70,9 @@ def test_criterion_1_collapse_trichotomy():
         ModelParams(delta=1.0, g=0.2, u=2.0, variant=STARK),
         10,
         tol=1e-6,
-        degeneracy_window=1e-2,
     )
     timings[2.0] = time.monotonic() - t0
+    assert rep.degeneracy_window == 1e-2
     spread = float(spec.energies[-1] - spec.energies[0])
     results[2.0] = (rep.classification, spread)
 

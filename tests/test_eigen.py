@@ -126,6 +126,18 @@ def test_vector_from_a_reused_bisection_equals_a_fresh_solve(points, cutoff):
             assert np.array_equal(reused.vectors, fresh.vectors)
 
 
+def test_a_malformed_bisection_is_refused_before_dstein(monkeypatch):
+    # dstein's wrapper takes a None iblock, and that corrupts numpy's int dtype
+    h = build_hamiltonian(ModelParams(delta=1.0, g=0.2, u=0.5), 40, parity=+1)
+    [[(levels, iblock, isplit)]] = eigen._solve_block(h.band[None], 1, "B")
+    assert (levels.shape, iblock.shape, isplit.shape) == ((1,), (41,), (41,))
+    monkeypatch.setattr(eigen, "dstein", lambda *a: pytest.fail("dstein was called"))
+    for bad in ((levels, None, None), (levels, iblock[:-1], isplit),
+                (levels, iblock.astype(np.int64), isplit), (levels[:0], iblock, isplit)):
+        with pytest.raises(ValueError, match="bisection must be"):
+            eigen_symmetric(h, 1, want_vectors=True, bisection=bad)
+
+
 def test_an_overflowing_chain_is_refused_without_a_warning():
     # kappa n^2 overflows the diagonal; the block build ignores the overflow
     # and the lane solver refuses the inf
@@ -314,6 +326,62 @@ def test_slow_convergence_that_spends_the_budget_is_undetermined():
     assert (drops[-3:] > 10 * report.tolerance).all() and (np.diff(drops) < 0).all()
 
 
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_lane_controller_equals_one_point_solves(k):
+    # batches whose lanes start at mixed cutoffs and stop in every way the
+    # controller has; each lane gives the bits of its own converged_spectrum
+    def stark(u):
+        return ModelParams(delta=1.0, g=0.2, u=u, variant=Variant.RABI_STARK)
+
+    overflow = ModelParams(delta=1.0, g=0.2, kappa=1e305, variant=Variant.COMPLETED)
+    batches = [
+        (1e-6, eigen.DEFAULT_MAX_CUTOFF,
+         [(stark(1.9), 16), (stark(2.0), 32), (stark(2.2), 8), (overflow, 32), (stark(1.9), 64)]),
+        (1e-8, 128, [(stark(2.0), 16), (stark(1.9), 32), (stark(2.0), 64)]),
+    ]
+    seen = set()
+    for tol, max_cutoff, lanes in batches:
+        points, starts = ([lane[i] for lane in lanes] for i in (0, 1))
+        outcomes = dict(eigen._converge_lanes(points, k, tol, max_cutoff, starts))
+        assert sorted(outcomes) == list(range(len(lanes)))
+        for lane, (p, start) in enumerate(lanes):
+            got = outcomes[lane]
+            try:
+                spec, report = converged_spectrum(
+                    p, k, tol=tol, max_cutoff=max_cutoff, start_cutoff=start
+                )
+            except ValueError as exc:
+                assert isinstance(got, ValueError)
+                assert str(got) == str(exc) == "array must not contain infs or NaNs"
+                seen.add("error")
+                continue
+            lane_spec, lane_report = got
+            assert np.array_equal(lane_spec.energies, spec.energies)
+            assert lane_spec.cutoff == spec.cutoff
+            for lane_levels, levels in zip(lane_spec.sectors, spec.sectors, strict=True):
+                assert np.array_equal(lane_levels, levels)
+            if k == 1:
+                for lane_bisection, bisection in zip(
+                    lane_spec.bisections, spec.bisections, strict=True
+                ):
+                    for a, b in zip(lane_bisection, bisection, strict=True):
+                        assert np.array_equal(a, b)
+            else:
+                assert lane_spec.bisections is spec.bisections is None
+            assert lane_report.classification is report.classification
+            assert lane_report.final_cutoff == report.final_cutoff
+            assert [c for c, _ in lane_report.history] == [c for c, _ in report.history]
+            for (_, lane_levels), (_, levels) in zip(lane_report.history, report.history):
+                assert np.array_equal(lane_levels, levels)
+            assert np.array_equal(lane_report.drift_rate, report.drift_rate, equal_nan=True)
+            seen.add(report.classification)
+    expected = {Classification.CONVERGED, Classification.UNBOUNDED_BELOW,
+                Classification.UNDETERMINED, "error"}
+    if k > 1:  # one level per chain cannot hold a degenerate pair
+        expected.add(Classification.COLLAPSED_DEGENERATE)
+    assert seen == expected
+
+
 def test_parity_doublet_is_not_collapse():
     # the Rabi model's Z2 doublet has one level per parity sector and closes
     # exponentially in g; collapse stacks many levels inside each sector
@@ -323,7 +391,7 @@ def test_parity_doublet_is_not_collapse():
         assert spec.energies[1] - spec.energies[0] <= report.degeneracy_window
         assert report.classification is Classification.CONVERGED
     p = ModelParams(delta=1.0, g=0.2, u=2.0, variant=Variant.RABI_STARK)
-    _, report = converged_spectrum(p, 10, tol=1e-6, degeneracy_window=1e-2)
+    _, report = converged_spectrum(p, 10, tol=1e-6)
     assert report.classification is Classification.COLLAPSED_DEGENERATE
 
 
