@@ -159,11 +159,10 @@ def eigen_symmetric(
     hold the (levels, iblock, isplit) of an ORDER='B' solve of this chain
     for the same k, such as Spectrum.bisections, and is then used in place
     of bisecting again; arrays of other types or shapes are a ValueError.
-    Eigenvalues come back ascending.  When vectors are
-    requested they are checked against the residual contract
-    ||H v - E v|| <= 1e-8 (1 + |E|), with H v a numpy chain product, and
-    normalized with a fixed sign convention (largest-magnitude component
-    positive).
+    Eigenvalues come back ascending.  When vectors are requested they are
+    checked against the residual contract ||H v - E v|| <= 1e-8 (1 + |E|),
+    with H v a numpy chain product, and normalized with a fixed sign
+    convention (largest-magnitude component positive).
     """
     if not (isinstance(h, HamiltonianMatrix) and h.band.shape[:-1] == (2,)):
         shape = np.shape(h.band if isinstance(h, HamiltonianMatrix) else h)
@@ -185,7 +184,7 @@ def eigen_symmetric(
         and bisection[0].shape == (k,)
         and all(a.dtype == np.int32 and a.shape == (dim,) for a in bisection[1:])
     ):
-        # dstein's wrapper takes anything, and a None iblock corrupts the interpreter
+        # dstein's wrapper is not safe with anything else: a None iblock breaks numpy's refcounts
         raise ValueError(
             f"bisection must be dstebz's (levels, iblock, isplit) for k = {k} and dim = {dim}"
         )
