@@ -289,15 +289,9 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
             block = lanes[first : first + per_block]
             rows = build_chain_block([points[i] for i in block], cutoff)
             solved = _solve_block(rows, m, "B" if k == 1 else "E")
-            ok = []
-            for j, result in enumerate(solved):
-                if isinstance(result, Exception):
-                    yield block[j], result
-                else:
-                    ok.append(j)
-            if not ok:
-                continue
-            idx = np.array([block[j] for j in ok])
+            yield from ((block[j], r) for j, r in enumerate(solved) if isinstance(r, Exception))
+            ok = [j for j, r in enumerate(solved) if not isinstance(r, Exception)]
+            idx = np.array([block[j] for j in ok], dtype=np.int64)
             # each lane's plus levels then its minus levels, merged as spectrum_at_cutoff does
             sectors = np.array([[plus[0], minus[0]] for plus, minus in (solved[j] for j in ok)])
             energies = np.sort(sectors.reshape(len(ok), 2 * m), axis=1)[:, :k]
@@ -314,7 +308,7 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
                 collapsed = converged & (energies[:, -1] - e0 <= window) & (
                     sectors[:, :, 1] - e0[:, None] <= window
                 ).any(axis=1)
-            if count.max() >= 3:
+            if count.max(initial=0) >= 3:
                 # the ground levels of the last four cutoffs and their three drops, newest last
                 ground = levels[idx[:, None], np.maximum(count[:, None] + _LAST_FOUR, 0), 0]
                 drops = ground[:, :3] - ground[:, 1:]
@@ -336,15 +330,15 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
                     else Classification.UNBOUNDED_BELOW if unbounded[j]
                     else Classification.UNDETERMINED
                 )
-                lane_rows, n = rows[ok[j]], int(count[j]) + 1
+                n = int(count[j]) + 1
                 yield lane, (
                     Spectrum(
                         energies[j],
                         cutoff,
                         sectors=(sectors[j, 0], sectors[j, 1]),
                         chains=(
-                            HamiltonianMatrix(lane_rows[0::2], cutoff, +1),
-                            HamiltonianMatrix(lane_rows[1:], cutoff, -1),
+                            HamiltonianMatrix(rows[ok[j], 0::2], cutoff, +1),
+                            HamiltonianMatrix(rows[ok[j], 1:], cutoff, -1),
                         ),
                         bisections=tuple(solved[ok[j]]) if k == 1 else None,
                     ),
@@ -358,6 +352,7 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
                         degeneracy_window=window,
                     ),
                 )
+            del rows, solved  # the block goes before the next one is built
 
 
 def converged_spectrum(

@@ -62,7 +62,7 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     if top > MAX_DEGREE:
         raise ValueError(f"degree {top} exceeds supported maximum {MAX_DEGREE}")
     out = np.empty((2, span, n.size))
-    if not n.size:
+    if not out.size:  # no lanes, or span 0
         return out[0], out[1]
     # lanes by top degree n + span - 1, descending
     order = np.argsort(-n, kind="stable")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,36 @@ def test_lane_controller_equals_one_point_solves(k):
     if k > 1:  # one level per chain cannot hold a degenerate pair
         expected.add(Classification.COLLAPSED_DEGENERATE)
     assert seen == expected
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_block_is_released_before_the_next_is_built(monkeypatch, k):
+    # a round holds one block: its rows and its dstebz output go once the
+    # consumer has dropped the outcomes and resumed the controller
+    real_build, real_solve = eigen.build_chain_block, eigen._solve_block
+    held = []
+
+    def build(points, cutoff):
+        assert not [ref for ref in held if ref() is not None], "an earlier block is held"
+        rows = real_build(points, cutoff)
+        held.append(weakref.ref(rows))
+        return rows
+
+    def solve(rows, k, order):
+        solved = real_solve(rows, k, order)
+        held.extend(weakref.ref(a) for lane in solved for chain in lane for a in chain)
+        return solved
+
+    monkeypatch.setattr(eigen, "build_chain_block", build)
+    monkeypatch.setattr(eigen, "_solve_block", solve)
+    monkeypatch.setattr(eigen, "_BLOCK_BUDGET", 3 * 65)  # one lane per block from cutoff 64
+    points = [ModelParams(delta=1.0, g=0.2, u=u, variant=Variant.RABI_STARK)
+              for u in (0.5, 1.0, 1.5, 2.2)]
+    stopped = []
+    for lane, outcome in eigen._converge_lanes(points, k, 1e-8, 2048, [32] * 4):
+        stopped.append(lane)
+        del outcome
+    assert sorted(stopped) == [0, 1, 2, 3] and len(held) > 8
 
 
 def test_parity_doublet_is_not_collapse():

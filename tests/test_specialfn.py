@@ -85,6 +85,9 @@ def test_degree_bound_counts_the_span():
         specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=10**12)
     ln, l1n = specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=specialfn.MAX_DEGREE)
     assert ln.shape == l1n.shape == (specialfn.MAX_DEGREE, 2)
+    # span 0 asks for no degree, so a degree-0 lane's top degree is -1
+    ln, l1n = specialfn.laguerre_lanes([0], [0.5], span=0)
+    assert ln.shape == l1n.shape == (0, 1)
 
 
 def test_kernel_trivial_values():
