@@ -69,7 +69,8 @@ def laguerre_lanes(n, x, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     n, xl = n[order], x[order].astype(np.longdouble)
     # reach[i] lanes have n >= i + 1 - span: degree d runs over lanes
     # [0, reach[d]), and lanes [reach[d + span], reach[d]) record it in row d - n
-    reach = np.searchsorted(-n, span - 1 - np.arange(top + span + 1), side="right").tolist()
+    counts = np.bincount(n, minlength=top + 1)
+    reach = [n.size] * (span - 1) + np.cumsum(counts[::-1])[::-1].tolist() + [0]
     k = _ORDERS
 
     def record(degree, values):
