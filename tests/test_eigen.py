@@ -396,8 +396,8 @@ def test_a_block_is_released_before_the_next_is_built(monkeypatch, k):
         held.append(weakref.ref(rows))
         return rows
 
-    def solve(rows, k, order):
-        solved = real_solve(rows, k, order)
+    def solve(rows, m, order):
+        solved = real_solve(rows, m, order)
         held.extend(weakref.ref(a) for lane in solved for chain in lane for a in chain)
         return solved
 
