@@ -57,6 +57,9 @@ CASES = [
     # CollapsedDegenerate at cutoff 8192, the one case that reaches that rule
     ("collapse_u2.0_tol1e-6", ["collapse-check", *_STARK, "--capital-u", "2.0", "--levels", "4",
                                "--tol", "1e-6"], "csv"),
+    # 10 levels: dsterf solves the chains up to cutoff 128, bisection from 256 on
+    ("collapse_u2.0_tol1e-6_levels10", ["collapse-check", *_STARK, "--capital-u", "2.0",
+                                        "--levels", "10", "--tol", "1e-6"], "csv"),
     ("collapse_fixed_cutoff", ["collapse-check", *_STARK, "--capital-u", "1.5", "--levels", "4",
                                "--cutoff", "64"], "csv"),
     ("collapse_json", ["collapse-check", *_STARK, "--capital-u", "1.0", "--levels", "3",

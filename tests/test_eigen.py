@@ -12,7 +12,7 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.blas import dsbmv
 
 import oracle
@@ -67,13 +67,18 @@ def chains(draw, min_dim=2):
 @given(de=chains(), k_frac=st.floats(0.0, 1.0), want_vectors=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_chain_solver_matches_eigh_tridiagonal_bit_for_bit(de, k_frac, want_vectors):
-    # the direct dstebz/dstein calls are the ones eigh_tridiagonal makes for
-    # select='i', so values and vectors agree to the last bit
+    # the direct LAPACK calls are the ones eigh_tridiagonal makes for the
+    # kernel the chain solver picks: all levels by dsterf for values only
+    # with k > 1 and dim/k < 2 floor(log2 dim), else select='i' (dstebz, then
+    # dstein), so values and vectors agree to the last bit
     d, e = de
     k = 1 + int(k_frac * (len(d) - 1))
     spec = eigen_symmetric(chain(d, e), k, want_vectors=want_vectors)
-    ref = eigh_tridiagonal(d, e, eigvals_only=not want_vectors, select="i",
-                           select_range=(0, k - 1))
+    if not want_vectors and 1 < k and len(d) < 2 * k * (len(d).bit_length() - 1):
+        ref = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[:k]
+    else:
+        ref = eigh_tridiagonal(d, e, eigvals_only=not want_vectors, select="i",
+                               select_range=(0, k - 1))
     if not want_vectors:
         assert spec.vectors is None and np.array_equal(spec.energies, ref)
         return
@@ -92,6 +97,40 @@ lane_points = st.builds(
     kappa=st.floats(0.0, 0.5),
     variant=st.sampled_from(list(Variant)),
 )
+
+
+# the CLI's two overflow points: kappa n^2 near the largest double (its chains
+# are finite up to cutoff 42) and a level splitting of 1e200
+OVERFLOW_POINTS = [ModelParams(delta=1.0, g=0.2, kappa=1e305, variant=Variant.COMPLETED),
+                   ModelParams(delta=1e200, g=0.2, u=0.5, variant=Variant.RABI_STARK)]
+
+
+@st.composite
+def model_chains(draw):
+    """(d, e) of a parity chain of a random model point or an overflow point."""
+    p, top = draw(st.one_of(st.tuples(lane_points, st.just(200)),
+                            st.tuples(st.sampled_from(OVERFLOW_POINTS), st.just(42))))
+    h = build_chains(p, draw(st.integers(1, top)))[draw(st.integers(0, 1))]
+    return h.band[0], h.band[1, :-1]
+
+
+@given(de=st.one_of(chains(), model_chains()), k_frac=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_dsterf_levels_match_bisection_within_a_few_eps_norm(de, k_frac):
+    # both errors are absolute: dsterf's is a small multiple of eps ||T||, and
+    # dstebz with ABSTOL = 0 stops at a bracket of ulp ||T||; over 2,795 chains
+    # of these strategies the two kernels' lowest k differed by at most
+    # 2.4 sqrt(dim) eps ||T||, with ||T|| the largest absolute row sum
+    d, e = de
+    k = 1 + int(k_frac * (len(d) - 1))
+    sterf, info = eigen.dsterf(d, e)
+    m, stebz, _, _, stebz_info = eigen.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    assert info == stebz_info == 0 and m == k and np.isfinite(sterf).all()
+    norm = np.abs(d)
+    norm[1:] += np.abs(e)
+    norm[:-1] += np.abs(e)
+    bound = 8 * np.sqrt(len(d)) * np.finfo(float).eps * norm.max()
+    assert np.abs(sterf[:k] - stebz[:k]).max() <= bound
 
 
 @given(points=st.lists(lane_points, min_size=1, max_size=5), cutoff=st.integers(1, 200),
@@ -381,6 +420,49 @@ def test_lane_controller_equals_one_point_solves(k):
     if k > 1:  # one level per chain cannot hold a degenerate pair
         expected.add(Classification.COLLAPSED_DEGENERATE)
     assert seen == expected
+
+
+def test_dsterf_solves_classify_as_bisection_does(monkeypatch):
+    # the spectrum_sweep grid (k = 30) and the collapse trichotomy (k = 10)
+    # take dsterf at their first cutoffs; solved by bisection alone (ORDER
+    # 'B', which dsterf never serves, then sorted) every lane must stop at
+    # the same cutoff with the same classification
+    def stark(u):
+        return ModelParams(delta=1.0, g=0.2, u=u, variant=Variant.RABI_STARK)
+
+    runs = [([stark(0.02 * i) for i in range(100)], 30, 1e-8),
+            ([stark(1.9)], 10, 1e-8), ([stark(2.0)], 10, 1e-6), ([stark(2.2)], 10, 1e-8)]
+    real_solve, real_sterf = eigen._solve_block, eigen.dsterf
+    sterf_calls = []
+
+    def bisection_only(rows, m, order):
+        return [lane if isinstance(lane, Exception) else [(np.sort(w), None, None)
+                                                         for w, _, _ in lane]
+                for lane in real_solve(rows, m, "B")]
+
+    def counted_sterf(d, e):
+        sterf_calls.append(d.size)
+        return real_sterf(d, e)
+
+    seen = set()
+    for points, k, tol in runs:
+        starts = [eigen.DEFAULT_START_CUTOFF] * len(points)
+        monkeypatch.setattr(eigen, "dsterf", counted_sterf)
+        solved = dict(eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts))
+        monkeypatch.setattr(eigen, "_solve_block", bisection_only)
+        bisected = dict(eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts))
+        monkeypatch.setattr(eigen, "_solve_block", real_solve)
+        for lane in range(len(points)):
+            (spec, report), (ref_spec, ref_report) = solved[lane], bisected[lane]
+            assert report.classification is ref_report.classification
+            assert report.final_cutoff == ref_report.final_cutoff == spec.cutoff
+            assert [c for c, _ in report.history] == [c for c, _ in ref_report.history]
+            for (_, levels), (_, ref_levels) in zip(report.history, ref_report.history):
+                assert np.abs(levels - ref_levels).max() <= 1e-11
+            seen.add(report.classification)
+    assert set(sterf_calls) == {33, 65, 129}
+    assert seen == {Classification.CONVERGED, Classification.COLLAPSED_DEGENERATE,
+                    Classification.UNBOUNDED_BELOW}
 
 
 @pytest.mark.parametrize("k", [1, 2])
