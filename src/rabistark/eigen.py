@@ -114,9 +114,10 @@ def _solve_block(rows: np.ndarray, k: int, order: str) -> list:
     ORDER 'E' and dim/k < 2 floor(log2 dim), one implicit QL/QR sweep
     (dsterf) solves all levels of a chain in less time than k bisections,
     and its lowest k are kept; every other solve is bisection (dstebz,
-    RANGE='I', ABSTOL=0).  The bound follows the measured break-even dim/k
-    of the model's chains: about 6 at dim 17, 8-11 at dim 33 and 16-30 from
-    dim 129 to 2049.  Both kernels are accurate to a few eps ||T|| absolute.
+    RANGE='I', ABSTOL=0).  The bound follows the break-even dim/k of the
+    model's chains, measured on a 2-core x86_64 Xeon: about 6 at dim 17,
+    8-11 at dim 33 and 16-30 from dim 129 to 2049.  Both kernels are
+    accurate to a few eps ||T|| absolute.
 
     rows has shape (lanes, chains + 1, dim): the chains of lane i have the
     diagonals rows[i, :-1] and the off-diagonal rows[i, -1, :-1]; the last

@@ -119,8 +119,10 @@ def model_chains(draw):
 def test_dsterf_levels_match_bisection_within_a_few_eps_norm(de, k_frac):
     # both errors are absolute: dsterf's is a small multiple of eps ||T||, and
     # dstebz with ABSTOL = 0 stops at a bracket of ulp ||T||; over 2,795 chains
-    # of these strategies the two kernels' lowest k differed by at most
-    # 2.4 sqrt(dim) eps ||T||, with ||T|| the largest absolute row sum
+    # of the chains() kind that take dsterf, the two kernels' lowest k differed
+    # by at most 2.4 sqrt(dim) eps ||T||, with ||T|| the largest absolute row sum.
+    # dstebz also drops every off-diagonal whose square underflows
+    # (|e| < sqrt(tiny)), which moves a level by less than 2 sqrt(tiny)
     d, e = de
     k = 1 + int(k_frac * (len(d) - 1))
     sterf, info = eigen.dsterf(d, e)
@@ -129,7 +131,8 @@ def test_dsterf_levels_match_bisection_within_a_few_eps_norm(de, k_frac):
     norm = np.abs(d)
     norm[1:] += np.abs(e)
     norm[:-1] += np.abs(e)
-    bound = 8 * np.sqrt(len(d)) * np.finfo(float).eps * norm.max()
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    bound = 8 * np.sqrt(len(d)) * eps * norm.max() + 2 * np.sqrt(tiny)
     assert np.abs(sterf[:k] - stebz[:k]).max() <= bound
 
 
@@ -201,6 +204,19 @@ def test_chain_solver_failures_raise_solver_error(monkeypatch):
     monkeypatch.setattr(eigen, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 2))
     with pytest.raises(SolverError, match="dstein"):
         eigen_symmetric(h, 2, want_vectors=True)
+
+
+def test_dsterf_failures_raise_solver_error(monkeypatch):
+    # 20 of 21 levels, values only: the chain solver takes dsterf
+    h = build_hamiltonian(ModelParams(delta=1.0, g=0.3, u=0.5), 20, parity=+1)
+    levels = eigen.dsterf(h.band[0], h.band[1, :-1])[0]
+    monkeypatch.setattr(eigen, "dstebz", lambda *a: pytest.fail("dstebz was called"))
+    monkeypatch.setattr(eigen, "dsterf", lambda d, e: (levels.copy(), 1))
+    with pytest.raises(SolverError, match=r"LAPACK dsterf failed with info=1 \(dim=21, k=20\)"):
+        eigen_symmetric(h, 20)
+    monkeypatch.setattr(eigen, "dsterf", lambda d, e: (levels[::-1].copy(), 0))
+    with pytest.raises(SolverError, match="out of order"):
+        eigen_symmetric(h, 20)
 
 
 def test_residual_and_norm_guards_raise_solver_error(monkeypatch):
