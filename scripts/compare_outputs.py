@@ -44,6 +44,9 @@ CASES = [
      "csv"),
     ("spectrum_completed", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
                             "--kappa", "0.1", "--scan", "u=1.8:2.4:0.1", "--levels", "6"], "csv"),
+    # its lanes stop at cutoffs 64, 256 and 32768: Converged, UnboundedBelow and Undetermined
+    ("spectrum_across_collapse", ["spectrum", *_STARK, "--scan", "u=1.9:2.2:0.1", "--levels", "4"],
+     "csv"),
     # g = 1.5 and 2.0: the ground lambda fails, only numeric rows are written
     ("scan_g_failed_ground_lambda", ["scan-g", "--model", "rabi", "--delta", "1",
                                      "--scan", "g=0.5:2.0:0.5", "--levels", "3"], "csv"),

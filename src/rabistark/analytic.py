@@ -25,7 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import DEFAULT_TOL, converged_spectrum
+from .eigen import DEFAULT_TOL, _raise_or_return, converged_spectra
+# converged_spectrum stays importable here for perfbench/spans.py
+from .eigen import converged_spectrum  # noqa: F401
 from .fockspace import ModelParams, Variant
 from .specialfn import MAX_DEGREE, displacement_kernels, kernels_from_laguerre, laguerre_lanes
 # the scalar kernels stay importable here for perfbench/spans.py
@@ -510,12 +512,6 @@ def _solve_lanes(points, labels) -> _Solved:
     return _Solved(lam, residual, blocks, energies, vectors, failures)
 
 
-def _raise_or_return(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def solve_branch(params: ModelParams, n: int, t_z: int) -> AnalyticBranch:
     t_z = _check_tz(t_z)
     solved = _solve_lanes([params], [(n, t_z)])
@@ -664,15 +660,18 @@ def error_map(
     The analytic candidate is the displaced-vacuum energy in region I and
     the minimum eigenvalue of the t_z = -1 blocks n < 8 in region II; the
     region boundary (where the two candidates cross along g) is flagged.
-    The lambdas of every grid point are solved in one batch.  Per-point
-    failures are recorded as NaN entries rather than aborting the sweep;
-    e_numeric and delta_e are NaN unless the numeric spectrum converged
-    within max_cutoff.
+    The lambdas of every grid point are solved in one batch, and the numeric
+    spectra of the points whose lambda was solved in one converged_spectra
+    batch.  A point whose lambda fails is a row of NaN entries; e_numeric and
+    delta_e are NaN unless the numeric spectrum converged within max_cutoff.
+    A point's chain error is raised, the first in grid order, not a NaN row.
     """
     g_grid = [float(g) for g in g_grid]
     u_grid = [float(u) for u in u_grid]
     points = [replace(params_base, g=g, u=u) for u in u_grid for g in g_grid]
     solved, split = _solve_points(points, [(n, -1) for n in range(_ERROR_MAP_BLOCKS)])
+    solvable = [p for p, point in zip(points, split) if not isinstance(point, LambdaSolveError)]
+    numeric = iter(converged_spectra(solvable, 1, tol=tol, max_cutoff=max_cutoff))
     out: list[ErrorMapPoint] = []
     prev_region = ""  # of the point before along g; "" at a row start or a failed point
     for k, (p, point) in enumerate(zip(points, split)):
@@ -686,7 +685,7 @@ def error_map(
         block_min = min(
             [np.inf] + [float(solved.energies[i, 0]) for i in lanes if solved.failures[i] is None]
         )
-        spec, report = converged_spectrum(p, 1, tol=tol, max_cutoff=max_cutoff)
+        spec, report = _raise_or_return(next(numeric))
         e_num = float(spec.energies[0]) if report.classification.settled else np.nan
         e_an = min(e0, block_min)
         region = "I" if e0 <= block_min else "II"

@@ -5,10 +5,11 @@ Every subcommand solves with omega = 1: couplings, --tol, the grids, the
 error-map bounds, the co-ladder and the staircase report are in units of
 omega, as entered.  --omega multiplies only the energy fields of the
 records (energy, e_analytic, e_numeric, delta_e).  Sweep output is
-deterministic: points are solved serially in grid order (--workers is
-accepted for compatibility and changes nothing) and every float is written
-with 17 significant digits, so identical invocations produce byte-identical
-files.
+deterministic: a sweep converges its points in lane batches (one per
+spectrum scan or staircase, one per error-map row) and writes them in grid
+order (--workers is accepted for compatibility and changes nothing), and
+every float is written with 17 significant digits, so identical
+invocations produce byte-identical files.
 
 Each subcommand registers only the options it reads (_SUBCOMMANDS); any
 other option is refused, as is one set off its default that the run cannot
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import sys
-# sweeps run serially; ThreadPoolExecutor stays importable for perfbench/spans.py
+# no sweep runs on a pool; ThreadPoolExecutor stays importable for perfbench/spans.py
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace as dc_replace
 
@@ -35,14 +36,16 @@ import numpy as np
 
 from .analytic import LambdaSolveError, analytic_ladders, check_ladder, error_map
 from .colimit import CO_MIN_RATIO, crossing_ladder
-# eigen_symmetric and build_hamiltonian stay importable for perfbench/spans.py
+# eigen_symmetric, converged_spectrum and build_hamiltonian stay importable for perfbench/spans.py
 from .eigen import (  # noqa: F401
     DEFAULT_MAX_CUTOFF,
     DEFAULT_START_CUTOFF,
     DEFAULT_TOL,
     Classification,
     _doubling_schedule,
+    _raise_or_return,
     check_levels,
+    converged_spectra,
     converged_spectrum,
     eigen_symmetric,
     spectrum_at_cutoff,
@@ -315,28 +318,6 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValidationFailure(f"output path not writable: {exc}") from None
 
 
-def _solve_point(spec: SweepSpec, p: ModelParams):
-    """Spectrum (at the final cutoff), cutoff history and classification of
-    one point: at the fixed --cutoff (Undetermined) or by cutoff doubling."""
-    if spec.cutoff is not None:
-        s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
-        return s, [(spec.cutoff, s.energies)], Classification.UNDETERMINED.value
-    s, report = converged_spectrum(p, spec.levels, tol=spec.tol)
-    return s, report.history, report.classification.value
-
-
-def _numeric_point(spec: SweepSpec, axis: str, value: float):
-    """Parameters, numeric records and classification of one grid point of
-    a spectrum scan."""
-    p = dc_replace(spec.params, **{axis: value})
-    s, _, classification = _solve_point(spec, p)
-    rows = [
-        [value, j, float(energy) * spec.omega, "numeric", s.cutoff, classification]
-        for j, energy in enumerate(s.energies)
-    ]
-    return p, rows, classification
-
-
 def _run_map(worker, items):
     """Results in grid order up to the first failure, and that failure
     (index, exc) or None."""
@@ -347,6 +328,22 @@ def _run_map(worker, items):
         except Exception as exc:  # noqa: BLE001 - converted to exit code
             return results, (len(results), exc)
     return results, None
+
+
+def _numeric_solves(spec: SweepSpec, points):
+    """_run_map of the points' spectra (at the final cutoff), cutoff histories
+    and classifications: at the fixed --cutoff (Undetermined), one point at
+    a time, or by cutoff doubling, all points in one lane batch."""
+    def fixed(p):
+        s = spectrum_at_cutoff(p, spec.cutoff, spec.levels)
+        return s, [(spec.cutoff, s.energies)], Classification.UNDETERMINED.value
+
+    def doubled(outcome):
+        s, report = _raise_or_return(outcome)
+        return s, report.history, report.classification.value
+    if spec.cutoff is not None:
+        return _run_map(fixed, points)
+    return _run_map(doubled, converged_spectra(points, spec.levels, tol=spec.tol))
 
 
 def run(spec: SweepSpec) -> int:
@@ -363,16 +360,20 @@ def run(spec: SweepSpec) -> int:
             axis = next(iter(spec.grids))
             values = grid_values(*spec.grids[axis])
             total_points = len(values)
-            done, failed = _run_map(lambda v: _numeric_point(spec, axis, v), values)
+            points = [dc_replace(spec.params, **{axis: v}) for v in values]
+            done, failed = _numeric_solves(spec, points)
             # the analytic ladders of all solved points form one lambda batch
-            points, n_max = [p for p, _, _ in done], _ladder_n_max(spec.levels)
+            points, n_max = points[: len(done)], _ladder_n_max(spec.levels)
             try:
                 ladders = analytic_ladders(points, n_max)
             except Exception:  # noqa: BLE001 - the point that raises is found one by one
                 ladders, raised = _run_map(lambda p: analytic_ladders([p], n_max)[0], points)
                 failed = raised or failed  # the zip below stops at the raising point
-            for value, (_, rows, classification), ladder in zip(values, done, ladders):
-                records.extend(rows)
+            for value, (s, _, classification), ladder in zip(values, done, ladders):
+                records.extend(
+                    [value, j, float(energy) * spec.omega, "numeric", s.cutoff, classification]
+                    for j, energy in enumerate(s.energies)
+                )
                 # analytic reduction unavailable at this point: numeric rows stand
                 if not isinstance(ladder, LambdaSolveError):
                     for idx, label, energy in ladder:
@@ -385,7 +386,10 @@ def run(spec: SweepSpec) -> int:
         elif spec.subcommand == "collapse-check":
             columns = COLLAPSE_COLUMNS
             total_points = 1
-            _, history, classification = _solve_point(spec, spec.params)
+            done, failed = _numeric_solves(spec, [spec.params])
+            if failed is not None:
+                raise failed[1]
+            [(_, history, classification)] = done
             for cutoff, energies in history:
                 for j, energy in enumerate(energies):
                     records.append([cutoff, j, float(energy) * spec.omega, classification])

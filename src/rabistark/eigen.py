@@ -92,8 +92,8 @@ class Spectrum:
     vectors: np.ndarray | None = field(default=None, repr=False)
     # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # set by the lane controller only: the two chains and, for k = 1, each
-    # chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
+    # set by the lane controller only (converged_spectra drops them): the two chains
+    # and, for k = 1, each chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
     chains: tuple[HamiltonianMatrix, HamiltonianMatrix] | None = field(default=None, repr=False)
     bisections: tuple[tuple, tuple] | None = field(default=None, repr=False)
 
@@ -371,6 +371,27 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
             del rows, solved  # the block goes before the next one is built
 
 
+def _raise_or_return(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def converged_spectra(points, k: int, tol: float = DEFAULT_TOL,
+                      max_cutoff: int = DEFAULT_MAX_CUTOFF,
+                      start_cutoff: int = DEFAULT_START_CUTOFF) -> list:
+    """converged_spectrum of every parameter point, all in one run of the
+    lane controller (_converge_lanes): per point, in order, its (Spectrum,
+    ConvergenceReport) or the error its chains raised.  The spectra carry no
+    chains or bisections, so a batch holds levels and reports, not blocks."""
+    out: list = [None] * len(points)
+    for lane, outcome in _converge_lanes(points, k, tol, max_cutoff, [start_cutoff] * len(points)):
+        if not isinstance(outcome, Exception):
+            outcome[0].chains = outcome[0].bisections = None
+        out[lane] = outcome
+    return out
+
+
 def converged_spectrum(
     params: ModelParams,
     k: int,
@@ -379,7 +400,7 @@ def converged_spectrum(
     start_cutoff: int = DEFAULT_START_CUTOFF,
 ) -> tuple[Spectrum, ConvergenceReport]:
     """Doubling-schedule spectrum with convergence classification: the
-    batch of one of the lane controller (_converge_lanes).
+    batch of one of converged_spectra, raising its error.
 
     Classification rules, applied on the recorded history:
       Converged          max level drift over the last doubling <= tol
@@ -392,7 +413,4 @@ def converged_spectrum(
                          shrinking (shrinking drops are slow convergence)
       Undetermined       budget exhausted without meeting any rule
     """
-    [(_, outcome)] = _converge_lanes([params], k, tol, max_cutoff, [start_cutoff])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _raise_or_return(converged_spectra([params], k, tol, max_cutoff, start_cutoff)[0])

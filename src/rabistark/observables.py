@@ -10,8 +10,9 @@ import numpy as np
 from .analytic import refine_bracket
 from .colimit import check_co_regime
 from .eigen import DEFAULT_MAX_CUTOFF, DEFAULT_START_CUTOFF, DEFAULT_TOL, Classification
-from .eigen import _converge_lanes, _doubling_schedule, converged_spectrum, eigen_symmetric
-from .eigen import spectrum_at_cutoff
+from .eigen import _converge_lanes, _doubling_schedule, _raise_or_return, converged_spectra
+# converged_spectrum stays importable here for perfbench/spans.py
+from .eigen import converged_spectrum, eigen_symmetric, spectrum_at_cutoff  # noqa: F401
 from .fockspace import ModelParams, Variant, build_hamiltonian
 
 TAIL_TOL = 1e-8
@@ -124,10 +125,8 @@ def _mean_photon_detail(points, tol: float, start_cutoff: int | None, max_cutoff
     errors = {}
     for lane, outcome in _converge_lanes(points, 1, tol, max_cutoff, starts):
         try:
-            if isinstance(outcome, Exception):
-                raise outcome
             nbar[lane], cutoffs[lane], gaps[lane] = _ground_occupation(
-                points[lane], *outcome, max_cutoff
+                points[lane], *_raise_or_return(outcome), max_cutoff
             )
         except (ValueError, RuntimeError) as exc:  # a refused point: the first in order is raised
             errors[lane] = exc
@@ -298,7 +297,8 @@ def detect_level_crossings(
     iteration at the larger of the two points' cutoffs and reported as the
     merged pair (a + b, a + b + 1) with gap |E+_a - E-_b|.  Requires g > 0
     at every point: with g = 0 the chains are diagonal and may be degenerate.
-    A point that is unbounded below or Undetermined raises DivergentSpectrumError.
+    A point that is unbounded below or Undetermined raises DivergentSpectrumError;
+    of several failing points, the first in grid order is raised.
     """
     if param_name not in ("g", "u", "kappa", "delta"):
         raise ValueError(f"unsupported sweep parameter {param_name!r}")
@@ -310,10 +310,10 @@ def detect_level_crossings(
     if (values[0] if param_name == "g" else params.g) <= 0.0:
         raise ValueError("crossing detection needs g > 0 at every sweep point")
 
+    points = [dc_replace(params, **{param_name: float(v)}) for v in values]
     sectors, cutoffs = [], []
-    for v in values:
-        p = dc_replace(params, **{param_name: float(v)})
-        spec, report = converged_spectrum(p, k=levels)
+    for v, outcome in zip(values, converged_spectra(points, levels)):
+        spec, report = _raise_or_return(outcome)
         _refuse_unsettled(report, f"sweep point {param_name} = {v}")
         sectors.append([s[: levels - 1] for s in spec.sectors])
         cutoffs.append(spec.cutoff)

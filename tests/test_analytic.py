@@ -27,7 +27,8 @@ from rabistark.analytic import (
     solve_lambda,
 )
 import rabistark.analytic as analytic
-from rabistark.eigen import converged_spectrum
+import rabistark.eigen as eigen
+from rabistark.eigen import SolverError, converged_spectrum
 from rabistark.fockspace import ModelParams, Variant
 from rabistark.specialfn import f1
 
@@ -526,6 +527,25 @@ def test_error_map_failed_ground_lambda_fails_only_its_point():
     # across a failed point from region II to region I no crossing is flagged
     row = error_map(base, [0.6, 1.5, 0.3], [1.5])
     assert [(pt.region, pt.crossing) for pt in row] == [("II", False), ("", False), ("I", False)]
+
+
+def test_error_map_raises_the_first_chain_error_in_grid_order(monkeypatch):
+    # the chains of g = 0.3 fail at cutoff 32, before those of g = 0.1 fail
+    # at 64; the map raises the error of g = 0.1, the first in grid order
+    real = eigen._solve_block
+    fail_at = {0.1: 64, 0.3: 32}
+
+    def failing(rows, k, order):
+        solved, cutoff = real(rows, k, order), rows.shape[-1] - 1
+        for lane, g in enumerate(rows[:, -1, 0].tolist()):  # off-diagonal g sqrt(1)
+            if fail_at.get(g) == cutoff:
+                solved[lane] = SolverError(f"g = {g} failed at cutoff {cutoff}")
+        return solved
+
+    monkeypatch.setattr(eigen, "_solve_block", failing)
+    base = ModelParams(delta=1.0, variant=STARK)
+    with pytest.raises(SolverError, match=r"^g = 0.1 failed at cutoff 64$"):
+        error_map(base, [0.2, 1.5, 0.1, 0.3], [0.5])
 
 
 def test_error_map_hump_at_crossing_row():

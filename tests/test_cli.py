@@ -463,16 +463,13 @@ def test_csv_writer_bytes_match_per_field_formatting(records, failure_reason, tm
 
 
 def test_solver_failure_flushes_partial_with_trailer(tmp_path, monkeypatch):
-    calls = {"count": 0}
-    real = cli.converged_spectrum
+    real = cli.converged_spectra
 
-    def flaky(params, k, **kwargs):
-        calls["count"] += 1
-        if params.u >= 0.5:
-            raise SolverError("synthetic failure for testing")
-        return real(params, k, **kwargs)
+    def flaky(points, k, **kwargs):
+        return [SolverError("synthetic failure for testing") if p.u >= 0.5 else outcome
+                for p, outcome in zip(points, real(points, k, **kwargs))]
 
-    monkeypatch.setattr(cli, "converged_spectrum", flaky)
+    monkeypatch.setattr(cli, "converged_spectra", flaky)
     out = tmp_path / "partial.csv"
     code = main(
         [
@@ -488,6 +485,26 @@ def test_solver_failure_flushes_partial_with_trailer(tmp_path, monkeypatch):
     # records for u = 0 and u = 0.25 flushed before the failing point
     numeric_rows = [r for r in rows[1:] if ",numeric," in r]
     assert len(numeric_rows) == 4
+
+
+def test_sweep_failure_names_the_first_failing_point_in_grid_order(tmp_path, monkeypatch):
+    # the sweep converges in one batch; of its failing points u = 0.5 and
+    # u = 1, the trailer names the first in grid order, and only the rows
+    # before it are written
+    real, batches = cli.converged_spectra, []
+
+    def flaky(points, k, **kwargs):
+        batches.append(len(points))
+        return [SolverError(f"synthetic failure at u = {p.u}") if p.u in (0.5, 1.0) else outcome
+                for p, outcome in zip(points, real(points, k, **kwargs))]
+
+    monkeypatch.setattr(cli, "converged_spectra", flaky)
+    out = tmp_path / "partial.csv"
+    code = main(["spectrum", *_STARK, "--scan", "u=0:1:0.25", "--levels", "2", "--out", str(out)])
+    assert code == EXIT_SOLVER and batches == [5]
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "# incomplete: u = 0.5: synthetic failure at u = 0.5"
+    assert sorted({float(r[0]) for r in read_csv(out)[1:-1]}) == [0.0, 0.25]
 
 
 def test_analytic_error_fails_its_own_point(tmp_path, monkeypatch):
@@ -541,10 +558,10 @@ def test_error_map_solver_failure_keeps_earlier_rows(tmp_path, monkeypatch):
 
 
 def test_json_failure_marks_incomplete(tmp_path, monkeypatch):
-    def always_fail(params, k, **kwargs):
-        raise SolverError("boom")
+    def always_fail(points, k, **kwargs):
+        return [SolverError("boom") for _ in points]
 
-    monkeypatch.setattr(cli, "converged_spectrum", always_fail)
+    monkeypatch.setattr(cli, "converged_spectra", always_fail)
     out = tmp_path / "fail.json"
     code = main(
         [
@@ -616,8 +633,8 @@ def no_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solved")
 
-    for name in ("converged_spectrum", "spectrum_at_cutoff", "analytic_ladders", "error_map",
-                 "staircase_scan", "crossing_ladder"):
+    for name in ("converged_spectra", "converged_spectrum", "spectrum_at_cutoff",
+                 "analytic_ladders", "error_map", "staircase_scan", "crossing_ladder"):
         monkeypatch.setattr(cli, name, refuse)
 
 

@@ -21,6 +21,7 @@ from rabistark import eigen
 from rabistark.eigen import (
     Classification,
     SolverError,
+    converged_spectra,
     converged_spectrum,
     eigen_symmetric,
     spectrum_at_cutoff,
@@ -385,7 +386,8 @@ def test_slow_convergence_that_spends_the_budget_is_undetermined():
 @pytest.mark.parametrize("k", [1, 2, 10])
 def test_lane_controller_equals_one_point_solves(k):
     # batches whose lanes start at mixed cutoffs and stop in every way the
-    # controller has; each lane gives the bits of its own converged_spectrum
+    # controller has; each lane, and each entry of converged_spectra over a
+    # batch's lanes of one start, gives the bits of its own converged_spectrum
     def stark(u):
         return ModelParams(delta=1.0, g=0.2, u=u, variant=Variant.RABI_STARK)
 
@@ -400,36 +402,49 @@ def test_lane_controller_equals_one_point_solves(k):
         points, starts = ([lane[i] for lane in lanes] for i in (0, 1))
         outcomes = dict(eigen._converge_lanes(points, k, tol, max_cutoff, starts))
         assert sorted(outcomes) == list(range(len(lanes)))
+        batched = {}
+        for start in set(starts):
+            group = [lane for lane, s in enumerate(starts) if s == start]
+            batched.update(zip(group, converged_spectra(
+                [points[i] for i in group], k, tol=tol, max_cutoff=max_cutoff, start_cutoff=start
+            )))
         for lane, (p, start) in enumerate(lanes):
-            got = outcomes[lane]
             try:
                 spec, report = converged_spectrum(
                     p, k, tol=tol, max_cutoff=max_cutoff, start_cutoff=start
                 )
             except ValueError as exc:
-                assert isinstance(got, ValueError)
-                assert str(got) == str(exc) == "array must not contain infs or NaNs"
+                for got in (outcomes[lane], batched[lane]):
+                    assert isinstance(got, ValueError)
+                    assert str(got) == str(exc) == "array must not contain infs or NaNs"
                 seen.add("error")
                 continue
-            lane_spec, lane_report = got
-            assert np.array_equal(lane_spec.energies, spec.energies)
-            assert lane_spec.cutoff == spec.cutoff
-            for lane_levels, levels in zip(lane_spec.sectors, spec.sectors, strict=True):
-                assert np.array_equal(lane_levels, levels)
+            assert spec.chains is spec.bisections is None
+            assert batched[lane][0].chains is batched[lane][0].bisections is None
+            lane_spec = outcomes[lane][0]
             if k == 1:
+                # the lane's bisections are the ORDER 'B' solves of its final chains
+                plus, minus = build_chains(p, report.final_cutoff)
+                rows = np.stack([plus.band[0], minus.band[0], plus.band[1]])[None]
+                [bisections] = eigen._solve_block(rows, 1, "B")
                 for lane_bisection, bisection in zip(
-                    lane_spec.bisections, spec.bisections, strict=True
+                    lane_spec.bisections, bisections, strict=True
                 ):
                     for a, b in zip(lane_bisection, bisection, strict=True):
                         assert np.array_equal(a, b)
             else:
-                assert lane_spec.bisections is spec.bisections is None
-            assert lane_report.classification is report.classification
-            assert lane_report.final_cutoff == report.final_cutoff
-            assert [c for c, _ in lane_report.history] == [c for c, _ in report.history]
-            for (_, lane_levels), (_, levels) in zip(lane_report.history, report.history):
-                assert np.array_equal(lane_levels, levels)
-            assert np.array_equal(lane_report.drift_rate, report.drift_rate, equal_nan=True)
+                assert lane_spec.bisections is None
+            for lane_spec, lane_report in (outcomes[lane], batched[lane]):
+                assert np.array_equal(lane_spec.energies, spec.energies)
+                assert lane_spec.cutoff == spec.cutoff
+                for lane_levels, levels in zip(lane_spec.sectors, spec.sectors, strict=True):
+                    assert np.array_equal(lane_levels, levels)
+                assert lane_report.classification is report.classification
+                assert lane_report.final_cutoff == report.final_cutoff
+                assert [c for c, _ in lane_report.history] == [c for c, _ in report.history]
+                for (_, lane_levels), (_, levels) in zip(lane_report.history, report.history):
+                    assert np.array_equal(lane_levels, levels)
+                assert np.array_equal(lane_report.drift_rate, report.drift_rate, equal_nan=True)
             seen.add(report.classification)
     expected = {Classification.CONVERGED, Classification.UNBOUNDED_BELOW,
                 Classification.UNDETERMINED, "error"}

@@ -155,27 +155,31 @@ def test_crossing_scan_refuses_an_unbounded_point():
 
 def test_crossing_scan_refuses_an_undetermined_point(monkeypatch):
     # no crossing is reported from levels that did not converge
-    real = observables.converged_spectrum
+    real = observables.converged_spectra
 
     def budget_spent_at(u):
-        def solve(params, **kwargs):
-            spec, report = real(params, **kwargs)
-            if params.u == u:
-                report = dc_replace(
-                    report,
-                    classification=eigen.Classification.UNDETERMINED,
-                    final_cutoff=eigen.DEFAULT_MAX_CUTOFF,
-                )
-            return spec, report
+        def solve(points, k, **kwargs):
+            spent = dict(classification=eigen.Classification.UNDETERMINED,
+                         final_cutoff=eigen.DEFAULT_MAX_CUTOFF)
+            return [(spec, dc_replace(report, **spent) if params.u == u else report)
+                    for params, (spec, report) in zip(points, real(points, k, **kwargs))]
         return solve
 
     p = ModelParams(delta=1.0, g=0.2, variant=STARK)
     grid = [1.0, 1.5, 1.9]
-    monkeypatch.setattr(observables, "converged_spectrum", budget_spent_at(1.5))
+    monkeypatch.setattr(observables, "converged_spectra", budget_spent_at(1.5))
     with pytest.raises(DivergentSpectrumError, match="u = 1.5 did not converge by cutoff 32768"):
         detect_level_crossings(p, "u", grid, 2)
-    monkeypatch.setattr(observables, "converged_spectrum", budget_spent_at(None))
+    monkeypatch.setattr(observables, "converged_spectra", budget_spent_at(None))
     assert detect_level_crossings(p, "u", grid, 2) == []
+
+
+def test_crossing_scan_refuses_the_first_failing_point_in_grid_order():
+    # u = 2.5 stops UnboundedBelow at cutoff 256, long before u = 2.0 stops
+    # Undetermined at 32768; the scan still refuses u = 2.0, the first in grid order
+    p = ModelParams(delta=1.0, g=0.2, variant=STARK)
+    with pytest.raises(DivergentSpectrumError, match="u = 2.0 did not converge by cutoff 32768"):
+        detect_level_crossings(p, "u", [1.9, 2.0, 2.5], 2)
 
 
 def test_crossing_scan_reuses_the_converged_sector_levels(monkeypatch):
