@@ -363,12 +363,7 @@ def run(spec: SweepSpec) -> int:
             points = [dc_replace(spec.params, **{axis: v}) for v in values]
             done, failed = _numeric_solves(spec, points)
             # the analytic ladders of all solved points form one lambda batch
-            points, n_max = points[: len(done)], _ladder_n_max(spec.levels)
-            try:
-                ladders = analytic_ladders(points, n_max)
-            except Exception:  # noqa: BLE001 - the point that raises is found one by one
-                ladders, raised = _run_map(lambda p: analytic_ladders([p], n_max)[0], points)
-                failed = raised or failed  # the zip below stops at the raising point
+            ladders = analytic_ladders(points[: len(done)], _ladder_n_max(spec.levels))
             for value, (s, _, classification), ladder in zip(values, done, ladders):
                 records.extend(
                     [value, j, float(energy) * spec.omega, "numeric", s.cutoff, classification]

@@ -90,12 +90,9 @@ class Spectrum:
     energies: np.ndarray
     cutoff: int
     vectors: np.ndarray | None = field(default=None, repr=False)
-    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains
+    # lowest min(k, cutoff + 1) levels of the parity +1 and -1 chains; the chain
+    # rows and solves behind them stay in the block _converge_lanes yields beside it
     sectors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # set by the lane controller only (converged_spectra drops them): the two chains
-    # and, for k = 1, each chain's bisection (levels, iblock, isplit), for eigen_symmetric to reuse
-    chains: tuple[HamiltonianMatrix, HamiltonianMatrix] | None = field(default=None, repr=False)
-    bisections: tuple[tuple, tuple] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -172,9 +169,9 @@ def eigen_symmetric(
     dim/k < 2 floor(log2 dim)), for lapack_driver='sterf' cut to its lowest
     k.  So every bit is the same, without that wrapper's per-call argument
     handling.  bisection may hold the (levels, iblock, isplit) of an
-    ORDER='B' solve of this chain for the same k, such as
-    Spectrum.bisections, and is then used in place of bisecting again;
-    arrays of other types or shapes are a ValueError.
+    ORDER='B' solve of this chain for the same k, such as the block that
+    _converge_lanes yields beside a k = 1 lane, and is then used in place of
+    bisecting again; arrays of other types or shapes are a ValueError.
     Eigenvalues come back ascending.  When vectors are requested they are
     checked against the residual contract ||H v - E v|| <= 1e-8 (1 + |E|),
     with H v a numpy chain product, and normalized with a fixed sign
@@ -251,9 +248,11 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
 
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
-    """The cutoffs of a doubling from start, raised to the least whose chains
-    hold k levels, up to max_cutoff; refused when that leaves none."""
-    c = max(start, (k + 1) // 2)  # need dim = 2(c+1) >= k
+    """The cutoffs of a doubling from start, raised to at least ceil(k / 2),
+    up to max_cutoff; refused when that leaves none.  The chains of cutoff c
+    hold 2 (c + 1) levels, so for k > 2 the raised start is one above the
+    least cutoff that holds k levels (k = 65 starts at 33, not 32)."""
+    c = max(start, (k + 1) // 2)  # ceil(k / 2)
     if c > max_cutoff:
         raise ValueError(
             f"empty cutoff schedule: start_cutoff={start} exceeds max_cutoff={max_cutoff}"
@@ -276,11 +275,13 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
     one lane where its rows alone are more, and applies the drift, drop and
     degeneracy rules to each block as arrays; a lane that does not stop
     moves on to twice its cutoff.
-    Yields (lane, outcome) as each lane stops, outcome being its (Spectrum,
-    ConvergenceReport) or the error its chains raised.  The Spectrum's
-    chains are views of its block and, for k = 1, its bisections are that
-    block's dstebz output (ORDER='B'); the block is released once the
-    consumer resumes the generator.
+    Yields (lane, outcome, block) as each lane stops, outcome being its
+    (Spectrum, ConvergenceReport) or the error its chains raised.  block is
+    None beside an error, else the lane's chain rows (fockspace.sector_chain
+    cuts each chain out of them) and their _solve_block output, for k = 1
+    the dstebz ORDER='B' bisection that eigen_symmetric can reuse.  Both
+    belong to the round's block, which is released once the consumer drops
+    them and resumes the generator.
     """
     if not 0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be a finite positive number, got {tol}")
@@ -305,7 +306,9 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
             block = lanes[first : first + per_block]
             rows = build_chain_block([points[i] for i in block], cutoff)
             solved = _solve_block(rows, m, "B" if k == 1 else "E")
-            yield from ((block[j], r) for j, r in enumerate(solved) if isinstance(r, Exception))
+            yield from (
+                (block[j], r, None) for j, r in enumerate(solved) if isinstance(r, Exception)
+            )
             ok = [j for j, r in enumerate(solved) if not isinstance(r, Exception)]
             idx = np.array([block[j] for j in ok], dtype=np.int64)
             # each lane's plus levels then its minus levels, merged as spectrum_at_cutoff does
@@ -348,16 +351,7 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
                 )
                 n = int(count[j]) + 1
                 yield lane, (
-                    Spectrum(
-                        energies[j],
-                        cutoff,
-                        sectors=(sectors[j, 0], sectors[j, 1]),
-                        chains=(
-                            HamiltonianMatrix(rows[ok[j], 0::2], cutoff, +1),
-                            HamiltonianMatrix(rows[ok[j], 1:], cutoff, -1),
-                        ),
-                        bisections=tuple(solved[ok[j]]) if k == 1 else None,
-                    ),
+                    Spectrum(energies[j], cutoff, sectors=(sectors[j, 0], sectors[j, 1])),
                     ConvergenceReport(
                         classification=classification,
                         final_cutoff=cutoff,
@@ -367,7 +361,7 @@ def _converge_lanes(points, k: int, tol: float, max_cutoff: int, start_cutoffs):
                         drift_rate=float(e0[j] - prev[j, 0]) if n > 1 else np.nan,
                         degeneracy_window=window,
                     ),
-                )
+                ), (rows[ok[j]], solved[ok[j]])
             del rows, solved  # the block goes before the next one is built
 
 
@@ -382,13 +376,13 @@ def converged_spectra(points, k: int, tol: float = DEFAULT_TOL,
                       start_cutoff: int = DEFAULT_START_CUTOFF) -> list:
     """converged_spectrum of every parameter point, all in one run of the
     lane controller (_converge_lanes): per point, in order, its (Spectrum,
-    ConvergenceReport) or the error its chains raised.  The spectra carry no
-    chains or bisections, so a batch holds levels and reports, not blocks."""
+    ConvergenceReport) or the error its chains raised.  The lanes' blocks
+    are dropped as they are yielded, so a batch holds levels and reports."""
     out: list = [None] * len(points)
-    for lane, outcome in _converge_lanes(points, k, tol, max_cutoff, [start_cutoff] * len(points)):
-        if not isinstance(outcome, Exception):
-            outcome[0].chains = outcome[0].bisections = None
+    starts = [start_cutoff] * len(points)
+    for lane, outcome, block in _converge_lanes(points, k, tol, max_cutoff, starts):
         out[lane] = outcome
+        del block  # the block goes before the generator builds the next one
     return out
 
 

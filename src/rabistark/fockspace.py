@@ -140,6 +140,12 @@ def build_chain_block(points, cutoff: int) -> np.ndarray:
     return rows
 
 
+def sector_chain(rows: np.ndarray, parity: int) -> HamiltonianMatrix:
+    """The parity +1 or -1 chain of one build_chain_block lane, as a view of
+    its rows: the +1 diagonal or the -1 diagonal, then the off-diagonal."""
+    return HamiltonianMatrix(rows[0::2] if parity > 0 else rows[1:], rows.shape[1] - 1, parity)
+
+
 def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, HamiltonianMatrix]:
     """The parity +1 and -1 chains of the truncated Hamiltonian for the
     requested variant, as views of one build_chain_block lane.
@@ -147,8 +153,7 @@ def build_chains(params: ModelParams, cutoff: int) -> tuple[HamiltonianMatrix, H
     (check_cutoff).
     """
     rows = build_chain_block([params], cutoff)[0]
-    cutoff = rows.shape[1] - 1
-    return HamiltonianMatrix(rows[0::2], cutoff, +1), HamiltonianMatrix(rows[1:], cutoff, -1)
+    return sector_chain(rows, +1), sector_chain(rows, -1)
 
 
 def build_hamiltonian(params: ModelParams, cutoff: int, parity: int) -> HamiltonianMatrix:

@@ -13,7 +13,7 @@ from .eigen import DEFAULT_MAX_CUTOFF, DEFAULT_START_CUTOFF, DEFAULT_TOL, Classi
 from .eigen import _converge_lanes, _doubling_schedule, _raise_or_return, converged_spectra
 # converged_spectrum stays importable here for perfbench/spans.py
 from .eigen import converged_spectrum, eigen_symmetric, spectrum_at_cutoff  # noqa: F401
-from .fockspace import ModelParams, Variant, build_hamiltonian
+from .fockspace import ModelParams, Variant, build_hamiltonian, sector_chain
 
 TAIL_TOL = 1e-8
 CROSSING_XTOL = 1e-12
@@ -90,9 +90,10 @@ def _refuse_unsettled(report, where: str) -> None:
         raise DivergentSpectrumError(f"{where} did not converge by cutoff {report.final_cutoff}")
 
 
-def _ground_occupation(params: ModelParams, spec, report, max_cutoff: int):
+def _ground_occupation(params: ModelParams, spec, report, block, max_cutoff: int):
     """(<a^dag a>, the cutoff whose Fock tail accepted it, E+_0 - E-_0 at
-    that cutoff when it is the converged one, else NaN) of one point."""
+    that cutoff when it is the converged one, else NaN) of one point, whose
+    k = 1 lane stopped with block (its chain rows and their bisections)."""
     _refuse_unsettled(
         report, f"spectrum at u = {params.effective_u}, kappa = {params.effective_kappa}"
     )
@@ -101,7 +102,8 @@ def _ground_occupation(params: ModelParams, spec, report, max_cutoff: int):
     # cutoff its vector reuses the bisection that solved the chain
     plus, minus = spec.sectors
     sector = 0 if plus[0] <= minus[0] else 1
-    h, bisection = spec.chains[sector], spec.bisections[sector]
+    rows, bisections = block
+    h, bisection = sector_chain(rows, (+1, -1)[sector]), bisections[sector]
     for cutoff in _doubling_schedule(spec.cutoff, max_cutoff, 1):
         if cutoff > spec.cutoff:
             h, bisection = build_hamiltonian(params, cutoff, parity=h.parity), None
@@ -123,14 +125,14 @@ def _mean_photon_detail(points, tol: float, start_cutoff: int | None, max_cutoff
     nbar, gaps = np.empty(len(points)), np.empty(len(points))
     cutoffs = np.empty(len(points), dtype=np.int64)
     errors = {}
-    for lane, outcome in _converge_lanes(points, 1, tol, max_cutoff, starts):
+    for lane, outcome, block in _converge_lanes(points, 1, tol, max_cutoff, starts):
         try:
             nbar[lane], cutoffs[lane], gaps[lane] = _ground_occupation(
-                points[lane], *_raise_or_return(outcome), max_cutoff
+                points[lane], *_raise_or_return(outcome), block, max_cutoff
             )
         except (ValueError, RuntimeError) as exc:  # a refused point: the first in order is raised
             errors[lane] = exc
-        del outcome  # the block goes before the generator builds the next one
+        del block  # the block goes before the generator builds the next one
     if errors:
         raise errors[min(errors)]
     return nbar, cutoffs, gaps

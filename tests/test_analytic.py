@@ -280,6 +280,35 @@ def test_batch_failures_keep_their_reasons():
         solve_branch(points[2], 7, +1)
 
 
+_COUPLING = st.floats(0.0, 1e308)
+
+
+@given(
+    variant=st.sampled_from(list(Variant)),
+    couplings=st.lists(
+        st.tuples(_COUPLING, _COUPLING, st.floats(-1e308, 1e308), _COUPLING),
+        min_size=1, max_size=4,
+    ),
+)
+# every coupling at the largest magnitude the strategies draw
+@example(variant=Variant.COMPLETED, couplings=[(1e308, 1e308, -1e308, 1e308),
+                                              (1e308, 1e308, 1e308, 1e308)])
+@settings(max_examples=100, deadline=None)
+def test_ladder_batch_returns_one_outcome_per_point_and_never_raises(variant, couplings):
+    # a spectrum sweep makes one ladder batch (n_max = 4 beside its default
+    # 6 levels) with the overflow warnings off, as the CLI runs it; a point
+    # whose lambda fails is that point's outcome, never an error of the batch
+    points = [ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
+              for delta, g, u, kappa in couplings]
+    with np.errstate(over="ignore"):
+        ladders = analytic_ladders(points, 4)
+    assert len(ladders) == len(points)
+    for ladder in ladders:
+        if not isinstance(ladder, LambdaSolveError):
+            assert ladder[0][:2] == (-1, "analytic_neg")
+            assert all(label in ("analytic_pos", "analytic_neg") for _, label, _ in ladder)
+
+
 def test_precision_guard_refuses_a_lambda_batch(monkeypatch):
     import rabistark.specialfn as specialfn
 

@@ -507,35 +507,6 @@ def test_sweep_failure_names_the_first_failing_point_in_grid_order(tmp_path, mon
     assert sorted({float(r[0]) for r in read_csv(out)[1:-1]}) == [0.0, 0.25]
 
 
-def test_analytic_error_fails_its_own_point(tmp_path, monkeypatch):
-    # an error raised by the analytic ladder of one point fails that point,
-    # not the whole batch: the points before it keep all their rows
-    real = cli.analytic_ladders
-
-    def flaky(points, n_max):
-        if any(p.u >= 0.5 for p in points):
-            raise ValueError("synthetic analytic failure for testing")
-        return real(points, n_max)
-
-    monkeypatch.setattr(cli, "analytic_ladders", flaky)
-    out = tmp_path / "partial.csv"
-    code = main(
-        [
-            "spectrum", "--model", "stark", "--delta", "1", "--g", "0.1",
-            "--scan", "u=0:1:0.25", "--levels", "2", "--out", str(out),
-        ]
-    )
-    assert code == EXIT_SOLVER
-    lines = out.read_text().splitlines()
-    assert lines[-1].startswith("# incomplete:") and "u = 0.5:" in lines[-1]
-    rows = read_csv(out)[1:-1]
-    assert sorted({float(r[0]) for r in rows}) == [0.0, 0.25]
-    for value in ("0", "0.25"):
-        sources = [r[3] for r in rows if float(r[0]) == float(value)]
-        assert sources[:2] == ["numeric"] * 2
-        assert len(sources) > 2 and all(s.startswith("analytic") for s in sources[2:])
-
-
 def test_error_map_solver_failure_keeps_earlier_rows(tmp_path, monkeypatch):
     # error-map solves one u row per call; a row that fails ends the map
     # with the rows before it and the incompleteness trailer
@@ -746,6 +717,8 @@ _OVERFLOW = ["--model", "completed", "--delta", "1", "--g", "0.2", "--kappa", "1
 SOLVE_ERRORS = {
     "spectrum": (["spectrum", *_OVERFLOW, "--scan", "u=0:0.2:0.1"], None,
                  "u = 0.0: array must not contain infs or NaNs"),
+    # one lambda batch serves the whole sweep, so what it raises fails the sweep
+    "spectrum-analytic": (OMEGA_RUNS["scan-g"][0], "analytic_ladders", "synthetic ValueError"),
     "collapse-check": (["collapse-check", *_OVERFLOW], None,
                        "array must not contain infs or NaNs"),
     "error-map": (OMEGA_RUNS["error-map"][0], "error_map", "u = 1.8: synthetic ValueError"),

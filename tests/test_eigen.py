@@ -1,5 +1,6 @@
 """Eigensolver contracts and the convergence classifier."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from rabistark import eigen
 from rabistark.eigen import (
     Classification,
     SolverError,
+    Spectrum,
     converged_spectra,
     converged_spectrum,
     eigen_symmetric,
@@ -397,10 +399,16 @@ def test_lane_controller_equals_one_point_solves(k):
          [(stark(1.9), 16), (stark(2.0), 32), (stark(2.2), 8), (overflow, 32), (stark(1.9), 64)]),
         (1e-8, 128, [(stark(2.0), 16), (stark(1.9), 32), (stark(2.0), 64)]),
     ]
+    # a spectrum holds levels only; the lane's chains and solves come beside it
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "energies", "cutoff", "vectors", "sectors"
+    ]
     seen = set()
     for tol, max_cutoff, lanes in batches:
         points, starts = ([lane[i] for lane in lanes] for i in (0, 1))
-        outcomes = dict(eigen._converge_lanes(points, k, tol, max_cutoff, starts))
+        outcomes, blocks = {}, {}
+        for lane, outcome, block in eigen._converge_lanes(points, k, tol, max_cutoff, starts):
+            outcomes[lane], blocks[lane] = outcome, block
         assert sorted(outcomes) == list(range(len(lanes)))
         batched = {}
         for start in set(starts):
@@ -417,23 +425,21 @@ def test_lane_controller_equals_one_point_solves(k):
                 for got in (outcomes[lane], batched[lane]):
                     assert isinstance(got, ValueError)
                     assert str(got) == str(exc) == "array must not contain infs or NaNs"
+                assert blocks[lane] is None
                 seen.add("error")
                 continue
-            assert spec.chains is spec.bisections is None
-            assert batched[lane][0].chains is batched[lane][0].bisections is None
-            lane_spec = outcomes[lane][0]
+            # the lane's block is its final chain rows and their solves, which
+            # for k = 1 are the ORDER 'B' bisections of those chains
+            lane_rows, lane_solves = blocks[lane]
+            rows = build_chain_block([p], report.final_cutoff)
+            assert np.array_equal(lane_rows, rows[0])
+            for (levels, *_), sector in zip(lane_solves, spec.sectors, strict=True):
+                assert np.array_equal(levels, sector)
             if k == 1:
-                # the lane's bisections are the ORDER 'B' solves of its final chains
-                plus, minus = build_chains(p, report.final_cutoff)
-                rows = np.stack([plus.band[0], minus.band[0], plus.band[1]])[None]
                 [bisections] = eigen._solve_block(rows, 1, "B")
-                for lane_bisection, bisection in zip(
-                    lane_spec.bisections, bisections, strict=True
-                ):
+                for lane_bisection, bisection in zip(lane_solves, bisections, strict=True):
                     for a, b in zip(lane_bisection, bisection, strict=True):
                         assert np.array_equal(a, b)
-            else:
-                assert lane_spec.bisections is None
             for lane_spec, lane_report in (outcomes[lane], batched[lane]):
                 assert np.array_equal(lane_spec.energies, spec.energies)
                 assert lane_spec.cutoff == spec.cutoff
@@ -479,9 +485,11 @@ def test_dsterf_solves_classify_as_bisection_does(monkeypatch):
     for points, k, tol in runs:
         starts = [eigen.DEFAULT_START_CUTOFF] * len(points)
         monkeypatch.setattr(eigen, "dsterf", counted_sterf)
-        solved = dict(eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts))
+        solved = {lane: outcome for lane, outcome, _ in
+                  eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts)}
         monkeypatch.setattr(eigen, "_solve_block", bisection_only)
-        bisected = dict(eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts))
+        bisected = {lane: outcome for lane, outcome, _ in
+                    eigen._converge_lanes(points, k, tol, eigen.DEFAULT_MAX_CUTOFF, starts)}
         monkeypatch.setattr(eigen, "_solve_block", real_solve)
         for lane in range(len(points)):
             (spec, report), (ref_spec, ref_report) = solved[lane], bisected[lane]
@@ -499,7 +507,7 @@ def test_dsterf_solves_classify_as_bisection_does(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_block_is_released_before_the_next_is_built(monkeypatch, k):
     # a round holds one block: its rows and its dstebz output go once the
-    # consumer has dropped the outcomes and resumed the controller
+    # consumer has dropped the outcomes and blocks and resumed the controller
     real_build, real_solve = eigen.build_chain_block, eigen._solve_block
     held = []
 
@@ -520,10 +528,13 @@ def test_a_block_is_released_before_the_next_is_built(monkeypatch, k):
     points = [ModelParams(delta=1.0, g=0.2, u=u, variant=Variant.RABI_STARK)
               for u in (0.5, 1.0, 1.5, 2.2)]
     stopped = []
-    for lane, outcome in eigen._converge_lanes(points, k, 1e-8, 2048, [32] * 4):
+    for lane, outcome, block in eigen._converge_lanes(points, k, 1e-8, 2048, [32] * 4):
         stopped.append(lane)
-        del outcome
+        del outcome, block
     assert sorted(stopped) == [0, 1, 2, 3] and len(held) > 8
+    # converged_spectra keeps each outcome and drops its block as it comes
+    held.clear()
+    assert len(converged_spectra(points, k, 1e-8, 2048)) == 4 and len(held) > 8
 
 
 def test_parity_doublet_is_not_collapse():
