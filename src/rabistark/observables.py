@@ -124,17 +124,19 @@ def _mean_photon_detail(points, tol: float, start_cutoff: int | None, max_cutoff
     starts = [initial_cutoff(p) if start_cutoff is None else start_cutoff for p in points]
     nbar, gaps = np.empty(len(points)), np.empty(len(points))
     cutoffs = np.empty(len(points), dtype=np.int64)
-    errors = {}
+    first = None  # (lane, error) of the first refused point in order
     for lane, outcome, block in _converge_lanes(points, 1, tol, max_cutoff, starts):
         try:
             nbar[lane], cutoffs[lane], gaps[lane] = _ground_occupation(
                 points[lane], *_raise_or_return(outcome), block, max_cutoff
             )
-        except (ValueError, RuntimeError) as exc:  # a refused point: the first in order is raised
-            errors[lane] = exc
+        except (ValueError, RuntimeError) as exc:
+            # keep only that one error: its traceback holds its block
+            if first is None or lane < first[0]:
+                first = lane, exc
         del block  # the block goes before the generator builds the next one
-    if errors:
-        raise errors[min(errors)]
+    if first is not None:
+        raise first[1]
     return nbar, cutoffs, gaps
 
 

@@ -1,6 +1,7 @@
 """Mean-photon observables, staircase detection, crossing detection."""
 
 import math
+import weakref
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -437,6 +438,27 @@ def test_staircase_lanes_equal_the_one_point_route(params, u_values, tail_tol, m
     if tail_tol != TAIL_TOL:
         starts = [initial_cutoff(dc_replace(params, u=float(u))) for u in u_values]
         assert any(c > 2 * s for c, s in zip(cutoffs, starts))
+
+
+def test_a_refused_scan_holds_one_block_at_a_time(monkeypatch):
+    # every point past the collapse is refused; a refused point's traceback
+    # holds its block, so the scan keeps only the first error in order and
+    # a build finds at most that one earlier block alive
+    real = eigen.build_chain_block
+    held = []
+
+    def build(points, cutoff):
+        assert sum(ref() is not None for ref in held) <= 1, "refused blocks are held"
+        rows = real(points, cutoff)
+        held.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(eigen, "build_chain_block", build)
+    points = [ModelParams(delta=1.0, g=0.2, u=2.2 + 0.01 * i, variant=Variant.RABI_STARK)
+              for i in range(20)]
+    with pytest.raises(DivergentSpectrumError, match="^spectrum at u = 2.2, kappa = 0.0 is "):
+        observables._mean_photon_detail(points, DEFAULT_TOL, 32, DEFAULT_MAX_CUTOFF)
+    assert len(held) > 4
 
 
 def test_staircase_raises_the_error_of_the_first_failing_point(monkeypatch):
