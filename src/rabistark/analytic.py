@@ -83,7 +83,7 @@ class _Lanes(NamedTuple):
             dtype=float,
         ).reshape(-1, 5)
         # degrees keep their own dtype, so laguerre_lanes refuses non-integers
-        n, t_z = (np.tile(col, len(couplings)) for col in zip(*labels))
+        n, t_z = (np.resize(col, len(couplings) * len(labels)) for col in zip(*labels))
         return cls(*np.repeat(couplings.T, len(labels), axis=1), n, t_z.astype(np.int64))
 
     def take(self, idx) -> "_Lanes":
@@ -422,17 +422,17 @@ def block_eigenpairs(block: np.ndarray):
     return [(float(energies[0, j]), vectors[0, j]) for j in (0, 1)]
 
 
-def _row_energies(energies: np.ndarray, vectors: np.ndarray, row) -> np.ndarray:
-    """Per lane, the eigenvalue whose eigenvector is dominated by the given
-    row (0 or 1, per lane); ties go to the larger weight ratio."""
-    lanes = np.arange(len(energies))
-    w = np.abs(vectors[lanes, :, row]) - np.abs(vectors[lanes, :, 1 - row])
+def _row_energies(energies: np.ndarray, vectors: np.ndarray, row: int) -> np.ndarray:
+    """Per lane, the energy AnalyticBranch's rule picks for the given row."""
+    w = np.abs(vectors[:, :, row]) - np.abs(vectors[:, :, 1 - row])
     return np.where(w[:, 0] >= w[:, 1], energies[:, 0], energies[:, 1])
 
 
 @dataclass
 class AnalyticBranch:
-    """One solved rung of the JC-like ladder."""
+    """One solved rung of the JC-like ladder.  positive_energy (negative_energy)
+    is the eigenvalue whose eigenvector is dominated by row 0, |+x, n> (row 1,
+    |-x, n+1>); ties go to the eigenvector with the larger weight ratio."""
 
     n: int
     t_z: int
@@ -441,23 +441,8 @@ class AnalyticBranch:
     energies: tuple[float, float]
     residual: float
     vectors: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-    def energy_for_row(self, row: int) -> float:
-        """Eigenvalue whose eigenvector is dominated by the given row.
-
-        Row 0 is |+x, n> (positive branch), row 1 is |-x, n+1> (negative
-        branch).  Ties go to the eigenvector with the larger weight ratio.
-        """
-        energies, vectors = np.array([self.energies]), np.stack(self.vectors)[None]
-        return float(_row_energies(energies, vectors, row)[0])
-
-    @property
-    def positive_energy(self) -> float:
-        return self.energy_for_row(0)
-
-    @property
-    def negative_energy(self) -> float:
-        return self.energy_for_row(1)
+    positive_energy: float
+    negative_energy: float
 
 
 @dataclass
@@ -470,15 +455,18 @@ class AnalyticSpectrum:
 class _Solved(NamedTuple):
     """Solved lanes: lambda and the residual its solve ended on, blocks
     (lanes, 2, 2), ascending energies (lanes, 2) and eigenvectors
-    (lanes, 2, 2), and per lane None or the LambdaSolveError /
-    RegimeViolationError that stopped it.  Entries a failure left unset
-    are NaN."""
+    (lanes, 2, 2), each lane's positive and negative branch energy (picked
+    here once, by AnalyticBranch's row rule), and per lane None or the
+    LambdaSolveError / RegimeViolationError that stopped it.  Entries a
+    failure left unset are NaN."""
 
     lam: np.ndarray
     residual: np.ndarray
     blocks: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
+    positive: np.ndarray
+    negative: np.ndarray
     failures: list
 
     def branch(self, i: int, n: int, t_z: int) -> AnalyticBranch:
@@ -491,6 +479,8 @@ class _Solved(NamedTuple):
             energies=(e_lo, e_hi),
             residual=float(self.residual[i]),
             vectors=(self.vectors[i, 0], self.vectors[i, 1]),
+            positive_energy=float(self.positive[i]),
+            negative_energy=float(self.negative[i]),
         )
 
 
@@ -509,7 +499,8 @@ def _solve_lanes(points, labels) -> _Solved:
         energies[i], vectors[i], disc = _block_eigen(blocks[i])
         for k, d in zip(i[disc < 0.0].tolist(), disc[disc < 0.0].tolist()):
             failures[k] = _complex_pair(d)
-    return _Solved(lam, residual, blocks, energies, vectors, failures)
+    positive, negative = (_row_energies(energies, vectors, row) for row in (0, 1))
+    return _Solved(lam, residual, blocks, energies, vectors, positive, negative, failures)
 
 
 def solve_branch(params: ModelParams, n: int, t_z: int) -> AnalyticBranch:
@@ -541,7 +532,8 @@ def analytic_ground_energy(params: ModelParams) -> float:
     original variants, where this reduces to the familiar
     omega lam^2 + 2 lam g - (delta - u lam^2 + 4 u lam^4) e^{-2 lam^2} / 2.
     """
-    return _ground_energy(params, solve_lambda(params, 0, -1))
+    _, [point] = _solve_points([params], [(0, -1)])
+    return _raise_or_return(point)[1]
 
 
 def check_ladder(n_max: int) -> None:
@@ -613,14 +605,13 @@ def analytic_ladders(points, n_max: int) -> list:
     LambdaSolveError instead of rows."""
     labels = _ladder_labels(n_max)
     solved, split = _solve_points(points, labels)
-    rows = np.tile([0, 1], solved.lam.size // 2)  # t_z = +1 reads row 0, -1 row 1
-    energy = _row_energies(solved.energies, solved.vectors, rows).tolist()
+    energy = {+1: solved.positive.tolist(), -1: solved.negative.tolist()}
     out = []
     for point in split:
         if not isinstance(point, LambdaSolveError):
             lanes, ground_energy = point
             point = [(-1, "analytic_neg", ground_energy)] + [
-                (n, "analytic_pos" if t_z == +1 else "analytic_neg", energy[i])
+                (n, "analytic_pos" if t_z == +1 else "analytic_neg", energy[t_z][i])
                 for i, (n, t_z) in zip(lanes, labels) if solved.failures[i] is None
             ]
         out.append(point)
