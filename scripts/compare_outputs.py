@@ -116,6 +116,10 @@ CASES = [
     # the lambda bracket scan's residual product overflows; exit 0 and nothing on stderr
     ("overflow_delta1e200", ["spectrum", "--model", "stark", "--delta", "1e200", "--g", "0.2",
                              "--scan", "u=0:1:0.5", "--levels", "2", "--cutoff", "8"], "csv"),
+    # at u = 1e200 the (0, -1) block's discriminant overflows: that branch fails, its
+    # numeric rows and ground row stand, and nothing is printed on stderr
+    ("spectrum_huge_u", ["spectrum", *_STARK, "--scan", "u=0:1e200:1e200", "--levels", "2"],
+     "csv"),
     # kappa n^2 overflows the chain diagonal: eigen_symmetric raises inside the sweep
     ("solver_failure", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
                         "--kappa", "1e305", "--scan", "u=0:0.2:0.1"], "csv"),

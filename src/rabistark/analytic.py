@@ -15,7 +15,8 @@ t_z = +1 tracks the |+x, n> row of a block while t_z = -1 tracks
 |-x, n+1>.  Blocks are not symmetric in general; eigenvalues are those of
 the full 2x2 real matrix and must be real in the validity regime
 (g <= 0.5 omega) -- a complex pair raises RegimeViolationError instead of
-being silently projected onto the real axis.
+being silently projected onto the real axis, as do block energies that are
+not finite.
 """
 
 import math
@@ -48,7 +49,8 @@ class LambdaSolveError(RuntimeError):
 
 
 class RegimeViolationError(RuntimeError):
-    """A block produced complex eigenvalues: outside the validity regime."""
+    """A block's eigenvalues are complex (outside the validity regime) or not
+    finite (a coupling too large for double precision)."""
 
 
 class LambdaMode(str, Enum):
@@ -382,7 +384,8 @@ def _eigenvectors(energy, a, b, c, d) -> np.ndarray:
     zero = norm == 0.0
     v[zero] = np.where((energy == a)[zero, None], [1.0, 0.0], [0.0, 1.0])
     norm[zero] = 1.0
-    v /= norm[:, None]
+    # a norm that is not finite comes of an energy that is not, whose lane fails
+    v = np.divide(v, norm[:, None], out=np.full_like(v, np.nan), where=np.isfinite(norm)[:, None])
     flip = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0
     v[flip] = -v[flip]
     return v
@@ -486,7 +489,8 @@ class _Solved(NamedTuple):
 
 def _solve_lanes(points, labels) -> _Solved:
     """Solve the branches (n, t_z) in labels of every point together; lane
-    k * len(labels) + j is label j of point k."""
+    k * len(labels) + j is label j of point k.  A lane fails on a complex
+    pair, or on block energies that are not both finite."""
     lanes = _Lanes.of(points, labels)
     lam, residual, errors = _solve_lambdas(lanes)
     failures: list = [None if e is None else LambdaSolveError(e) for e in errors]
@@ -497,8 +501,14 @@ def _solve_lanes(points, labels) -> _Solved:
         i = idx[piece]
         blocks[i] = _jc_blocks(lanes.take(i), lam[i])
         energies[i], vectors[i], disc = _block_eigen(blocks[i])
-        for k, d in zip(i[disc < 0.0].tolist(), disc[disc < 0.0].tolist()):
+        complex_pair = disc < 0.0
+        for k, d in zip(i[complex_pair].tolist(), disc[complex_pair].tolist()):
             failures[k] = _complex_pair(d)
+        for k in i[~complex_pair & ~np.isfinite(energies[i]).all(axis=1)].tolist():
+            failures[k] = RegimeViolationError(
+                f"block energies {tuple(energies[k].tolist())} are not finite "
+                f"(n={lanes.n[k]}, t_z={lanes.t_z[k]})"
+            )
     positive, negative = (_row_energies(energies, vectors, row) for row in (0, 1))
     return _Solved(lam, residual, blocks, energies, vectors, positive, negative, failures)
 
@@ -531,6 +541,8 @@ def analytic_ground_energy(params: ModelParams) -> float:
     with lambda solved at n = 0, t_z = -1.  The kappa term vanishes for the
     original variants, where this reduces to the familiar
     omega lam^2 + 2 lam g - (delta - u lam^2 + 4 u lam^4) e^{-2 lam^2} / 2.
+    Raises LambdaSolveError when that lambda cannot be solved or E0 is not
+    finite.
     """
     _, [point] = _solve_points([params], [(0, -1)])
     return _raise_or_return(point)[1]
@@ -554,15 +566,19 @@ def _ladder_labels(n_max: int) -> list[tuple[int, int]]:
 def _solve_points(points, labels):
     """The branches (n, t_z) in labels, (0, -1) among them, of every point
     solved in one batch: the _Solved lanes and, per point, its lane range and
-    displaced-vacuum ground energy, or the LambdaSolveError of its (0, -1) lane."""
+    displaced-vacuum ground energy, or the LambdaSolveError of its (0, -1) lane
+    or of a ground energy that is not finite."""
     points, width = list(points), len(labels)
     solved, ground, out = _solve_lanes(points, labels), labels.index((0, -1)), []
     for k, p in enumerate(points):
         i = k * width + ground
-        if isinstance(solved.failures[i], LambdaSolveError):
-            out.append(solved.failures[i])
-        else:
-            out.append((range(k * width, (k + 1) * width), _ground_energy(p, float(solved.lam[i]))))
+        point = solved.failures[i]
+        if not isinstance(point, LambdaSolveError):
+            e0 = _ground_energy(p, float(solved.lam[i]))
+            point = (range(k * width, (k + 1) * width), e0)
+            if not math.isfinite(e0):
+                point = LambdaSolveError(f"displaced-vacuum energy {e0} is not finite (n=0, t_z=-1)")
+        out.append(point)
     return solved, out
 
 

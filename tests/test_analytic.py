@@ -250,6 +250,7 @@ def test_ladder_batch_equals_one_point_calls(draws, n_max):
         try:
             one_ladder = analytic_level_ladder(p, n_max)
             one = analytic_spectrum(p, n_max)
+            ground = analytic_ground_energy(p)
         except LambdaSolveError as exc:
             assert isinstance(ladder, LambdaSolveError) and str(ladder) == str(exc)
             assert isinstance(spec, LambdaSolveError) and str(spec) == str(exc)
@@ -261,6 +262,13 @@ def test_ladder_batch_equals_one_point_calls(draws, n_max):
                 for b in spec.branches] == [
             (b.n, b.t_z, b.lam, b.residual, b.energies, b.block.tobytes())
             for b in one.branches
+        ]
+        # each row is its branch's energy for its t_z, and the ground row the
+        # displaced-vacuum energy, bit for bit
+        assert float.hex(ground) == float.hex(spec.ground_energy) == float.hex(ladder[0][2])
+        assert [(n, label, float.hex(e)) for n, label, e in ladder[1:]] == [
+            (b.n, "analytic_pos", float.hex(b.positive_energy)) if b.t_z == +1
+            else (b.n, "analytic_neg", float.hex(b.negative_energy)) for b in spec.branches
         ]
 
 
@@ -290,16 +298,19 @@ _COUPLING = st.floats(0.0, 1e308)
         min_size=1, max_size=4,
     ),
 )
-# every coupling at the largest magnitude the strategies draw
+# every coupling at the largest magnitude the strategies draw, and u = 1e200,
+# where the (0, -1) block's discriminant overflows
 @example(variant=Variant.COMPLETED, couplings=[(1e308, 1e308, -1e308, 1e308),
                                               (1e308, 1e308, 1e308, 1e308)])
+@example(variant=Variant.RABI_STARK, couplings=[(1.0, 0.2, 1e200, 0.0)])
 @settings(max_examples=100, deadline=None)
 # |u| or kappa near 1e308 makes NaN intermediates, which warn but do not raise
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_ladder_batch_returns_one_outcome_per_point_and_never_raises(variant, couplings):
     # a spectrum sweep makes one ladder batch (n_max = 4 beside --levels 4)
     # with the overflow warnings off, as the CLI runs it; a point whose
-    # lambda fails is that point's outcome, never an error of the batch
+    # lambda fails is that point's outcome, never an error of the batch, and
+    # every energy returned is finite
     points = [ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
               for delta, g, u, kappa in couplings]
     with np.errstate(over="ignore"):
@@ -309,6 +320,7 @@ def test_ladder_batch_returns_one_outcome_per_point_and_never_raises(variant, co
         if not isinstance(ladder, LambdaSolveError):
             assert ladder[0][:2] == (-1, "analytic_neg")
             assert all(label in ("analytic_pos", "analytic_neg") for _, label, _ in ladder)
+            assert all(math.isfinite(energy) for _, _, energy in ladder)
 
 
 def test_precision_guard_refuses_a_lambda_batch(monkeypatch):
@@ -344,6 +356,10 @@ def test_solve_lambda_zero_coupling_every_mode():
     p = ModelParams(delta=1.0, g=0.0, u=1.0, kappa=0.1, variant=Variant.COMPLETED)
     for mode in LambdaMode:
         assert solve_lambda(p, 1, -1, mode=mode) == 0.0
+    with pytest.raises(ValueError, match=r"^t_z must be \+1 or -1, got 0$"):
+        solve_lambda(p, 1, 0)
+    with pytest.raises(ValueError, match=r"^unknown lambda mode 'bogus'$"):
+        solve_lambda(ModelParams(delta=1.0, g=0.2), 1, -1, mode="bogus")
 
 
 def test_co_limit_formula_direct_value():
@@ -351,6 +367,10 @@ def test_co_limit_formula_direct_value():
     p = ModelParams(delta=200.0, g=0.1, u=1.0, variant=STARK)
     lam = solve_lambda(p, 0, +1, mode=LambdaMode.CO_LIMIT)
     assert lam == pytest.approx(-0.1 / 200.5, rel=1e-15)
+    # u n + delta + G = 0 + 0.2 + (1 - 3 / 2) < 0 at u = 3
+    with pytest.raises(LambdaSolveError, match=r"^CO-limit denominator -0.3\d* not positive$"):
+        solve_lambda(ModelParams(delta=0.2, g=0.1, u=3.0, variant=STARK), 0, +1,
+                     mode=LambdaMode.CO_LIMIT)
 
 
 def test_full_vs_zero_order_agreement():
@@ -607,6 +627,8 @@ def test_ladder_degree_bound_is_checked_before_any_lambda(monkeypatch):
     for batch in (analytic_ladders, analytic_spectra):
         with pytest.raises(ValueError, match=r"^degree 10001 exceeds supported maximum 10000$"):
             batch([p], 9999)
+        with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
+            batch([p], -1)
     analytic.check_ladder(9998)
 
 

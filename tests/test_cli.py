@@ -75,11 +75,15 @@ def test_scan_aliases_validate_axis(tmp_path):
          "--out", "/nonexistent-dir/o.csv"],
         ["spectrum", "--model", "stark", "--scan", "u=0:1:0.1", "--levels", "0",
          "--out", "o.csv"],
+        # --out naming a directory: the output path is not writable
+        ["spectrum", "--model", "stark", "--scan", "u=0:1:0.1", "--out", "."],
     ],
 )
-def test_validation_failures_exit_2(argv, tmp_path, monkeypatch):
+def test_validation_failures_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("rabistark: validation error: ")
+    assert not any(tmp_path.iterdir())  # no output file written
 
 
 @pytest.mark.parametrize("scan", [
@@ -644,6 +648,23 @@ BOUNDS = [
      "grid step 0.125 resolves fewer than 3 points per expected step width 4 kappa = 0.375"),
     (OMEGA_RUNS["co-ladder"][0][:-2], ["--levels", "100000"], ["--levels", "100001"],
      "--levels must be <= 100000, got 100001"),
+    (_FIXED_CUTOFF_RUNS[0], ["--workers", "1"], ["--workers", "0"],
+     "--workers must be >= 1, got 0"),
+    (_FIXED_CUTOFF_RUNS[0], ["--cutoff", "1", "--levels", "4"], ["--cutoff", "0", "--levels", "4"],
+     "--cutoff must be >= 1, got 0"),
+    # a --scan that does not parse, an empty one, and one given twice
+    (["spectrum", *_STARK], ["--scan", "u=0:1:0.5"], ["--scan", "u=0:1"],
+     "bad --scan 'u=0:1': expected <param>=<start>:<stop>:<step>"),
+    (["spectrum", *_STARK], ["--scan", "u=0:1:0.5"], ["--scan", "u=1:1:0.5"],
+     "scan start 1.0 must be < stop 1.0"),
+    (_FIXED_CUTOFF_RUNS[0], [], ["--scan", "u=0:0.2:0.1"], "duplicate --scan for parameter 'u'"),
+    # a subcommand's scan axes
+    (["scan-u", *_STARK], ["--scan", "u=0:0.2:0.1"], ["--scan", "g=0.1:0.2:0.1"],
+     "scan-u requires --scan u=start:stop:step"),
+    (["error-map", "--model", "stark", "--scan", "g=0.1:0.2:0.1"], ["--scan", "u=0:2:1"],
+     ["--scan", "u=0:2.5:0.5"], "error-map u grid must lie within 0 <= u <= 2 omega"),
+    ([*_STAIRCASE, "--kappa", "0.1", "--scan", "u=2:2.1:0.1"], [], ["--scan", "g=0.1:0.2:0.1"],
+     "staircase requires exactly --scan u=start:stop:step"),
 ]
 
 

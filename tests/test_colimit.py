@@ -93,6 +93,8 @@ def test_branch_energy_consistent_with_ground_energy():
     for delta in (200.0, 1000.0):
         p = co_params(delta=delta, g=0.1, u=1.0, kappa=1.0 / delta, variant=CO)
         assert abs(co_branch_energy(p, 0) - analytic_ground_energy(p)) <= 1e-3
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        co_branch_energy(p, -1)
 
 
 def test_branch_energies_against_numerics():
@@ -117,6 +119,8 @@ def test_crossing_ladder_geometry():
 def test_crossing_ladder_degenerate_at_kappa_zero():
     with pytest.raises(ValueError):
         crossing_ladder(ModelParams(delta=200.0, kappa=0.0, variant=CO), 4)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
+        crossing_ladder(ModelParams(delta=200.0, kappa=0.05, variant=CO), -1)
     # kappa -> 0 limit recovers the original critical point
     tiny = crossing_ladder(ModelParams(delta=200.0, kappa=1e-9, variant=CO), 4)
     assert np.allclose(tiny.positions, 2.0, atol=1e-7)
@@ -164,6 +168,8 @@ def test_mean_photon_form_trivials():
     assert analytic_mean_photon(0, -0.02, 1.0, 0.0) == pytest.approx(4e-4, rel=1e-12)
     with pytest.raises(ValueError):
         analytic_mean_photon(1, -0.1, 0.9, 0.9)
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        analytic_mean_photon(-1, -0.1, 1.0, 0.0)
 
 
 def _explicit_state_mean_photon(n, lam, c1, c2, dim=200):
@@ -209,3 +215,5 @@ def test_slope_prediction_values():
     assert slope_prediction(p) == 0.125
     with pytest.raises(ValueError):
         slope_prediction(ModelParams(delta=1000.0, kappa=0.0, variant=CO))
+    with pytest.raises(ValueError, match=r"^slope prediction requires delta > 0, got 0.0$"):
+        slope_prediction(ModelParams(delta=0.0, kappa=1e-3, variant=CO))

@@ -196,6 +196,20 @@ def test_an_overflowing_chain_is_refused_without_a_warning():
             converged_spectrum(p, 2)
 
 
+def test_vector_signs_do_not_depend_on_dstein(monkeypatch):
+    # every vector dstein returns negated: the sign convention flips each back,
+    # so the vectors are those of the plain solve bit for bit
+    h = build_hamiltonian(ModelParams(delta=1.0, g=0.3, u=0.5), 20, parity=+1)
+    real = eigen.dstein
+    for k in (1, 3):
+        plain = eigen_symmetric(h, k, want_vectors=True)
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "dstein", lambda *a: (lambda v, info: (-v, info))(*real(*a)))
+            negated = eigen_symmetric(h, k, want_vectors=True)
+        assert plain.energies.tobytes() == negated.energies.tobytes()
+        assert plain.vectors.tobytes() == negated.vectors.tobytes()
+
+
 def test_chain_solver_failures_raise_solver_error(monkeypatch):
     h = build_hamiltonian(ModelParams(delta=1.0, g=0.3, u=0.5), 20, parity=+1)
     real_stebz = eigen.dstebz
@@ -326,6 +340,8 @@ def test_k_bounds_validated():
     for other in (np.eye(2), HamiltonianMatrix(band=np.zeros((4, 10)), cutoff=4, parity=+1)):
         with pytest.raises(ValueError, match="parity-sector chain"):
             eigen_symmetric(other, 1)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        converged_spectra([ModelParams()], 0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -637,6 +653,8 @@ def test_later_scipy_linalg_import_reuses_the_lapack_module():
 
 
 def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    # while the extension is loaded, the loader returns it without a file
+    assert eigen._load_flapack(tmp_path) is sys.modules["scipy.linalg._flapack"]
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     with pytest.raises(ImportError) as excinfo:
         eigen._load_flapack(tmp_path)

@@ -233,3 +233,5 @@ def test_dimension_overflow_guard():
     assert build_hamiltonian(p, 99_999, parity=+1).dim == DEFAULT_MAX_DIM // 2
     with pytest.raises(ValueError):
         build_hamiltonian(p, 0, parity=+1)
+    with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 2.5$"):
+        build_hamiltonian(p, 2.5, parity=+1)

@@ -146,6 +146,10 @@ def test_crossing_detector_validates_input():
         detect_level_crossings(p, "u", [0.3, 0.2, 0.1], 2)
     with pytest.raises(ValueError):  # g = 0: diagonal chains, degenerate sectors
         detect_level_crossings(dc_replace(p, g=0.0), "u", [0.1, 0.2, 0.3], 2)
+    # a bracket handed to the refinement must hold a sign change
+    refusal = r"^E\+_0 - E-_0 does not change sign for u in \[0.1, 0.2\]$"
+    with pytest.raises(ValueError, match=refusal):
+        observables._sector_crossing(p, "u", [0.1], [0.2], [16], [0], [0])
 
 
 def test_crossing_scan_refuses_an_unbounded_point():

@@ -83,6 +83,8 @@ def test_degree_bound_counts_the_span():
     # the top degree n + span - 1 is refused before any lane array is built
     with pytest.raises(ValueError, match="exceeds supported maximum"):
         specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=10**12)
+    with pytest.raises(ValueError, match=r"^2 degrees for 1 arguments$"):
+        specialfn.laguerre_lanes([1, 0], [0.5])
     ln, l1n = specialfn.laguerre_lanes([1, 0], [0.5, 0.5], span=specialfn.MAX_DEGREE)
     assert ln.shape == l1n.shape == (specialfn.MAX_DEGREE, 2)
     # span 0 asks for no degree, so a degree-0 lane's top degree is -1
