@@ -384,7 +384,7 @@ def _eigenvectors(energy, a, b, c, d) -> np.ndarray:
     zero = norm == 0.0
     v[zero] = np.where((energy == a)[zero, None], [1.0, 0.0], [0.0, 1.0])
     norm[zero] = 1.0
-    # a norm that is not finite comes of an energy that is not, whose lane fails
+    # an overflowed norm leaves the vector NaN; energies that are not finite fail the lane
     v = np.divide(v, norm[:, None], out=np.full_like(v, np.nan), where=np.isfinite(norm)[:, None])
     flip = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0
     v[flip] = -v[flip]
@@ -577,7 +577,7 @@ def _solve_points(points, labels):
             e0 = _ground_energy(p, float(solved.lam[i]))
             point = (range(k * width, (k + 1) * width), e0)
             if not math.isfinite(e0):
-                point = LambdaSolveError(f"displaced-vacuum energy {e0} is not finite (n=0, t_z=-1)")
+                point = LambdaSolveError(f"displaced-vacuum energy {e0} is not finite")
         out.append(point)
     return solved, out
 

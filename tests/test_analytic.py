@@ -286,6 +286,17 @@ def test_batch_failures_keep_their_reasons():
     assert reasons[(7, +1)].startswith("block eigenvalues are complex")
     with pytest.raises(RegimeViolationError):
         solve_branch(points[2], 7, +1)
+    # at u = 1e200 the (0, -1) block's discriminant overflows, and at u = 1e308
+    # the displaced-vacuum energy is NaN: neither is returned as a result
+    huge_u = [ModelParams(delta=1.0, g=0.2, u=u, variant=STARK) for u in (1e200, 1e308)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed_block, nan_ground = analytic_spectra(huge_u, 0)
+        with pytest.raises(LambdaSolveError, match="^displaced-vacuum energy nan is not finite$"):
+            analytic_ground_energy(huge_u[1])
+    assert overflowed_block.failures[-1] == (
+        0, -1, "block energies (-inf, inf) are not finite (n=0, t_z=-1)"
+    )
+    assert str(nan_ground) == "displaced-vacuum energy nan is not finite"
 
 
 _COUPLING = st.floats(0.0, 1e308)
