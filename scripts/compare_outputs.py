@@ -120,6 +120,11 @@ CASES = [
     # numeric rows and ground row stand, and nothing is printed on stderr
     ("spectrum_huge_u", ["spectrum", *_STARK, "--scan", "u=0:1e200:1e200", "--levels", "2"],
      "csv"),
+    # at g = 0 and u = 1e154 the blocks are diagonal, and for n >= 1 the lower
+    # energy's eigenvector norm overflows: its negative-branch rows stand as
+    # the lower energies; the n = 3 block's energies overflow and that branch fails
+    ("spectrum_overflowed_norm", ["spectrum", "--model", "stark", "--delta", "1", "--g", "0",
+                                  "--scan", "u=0:1e154:1e154", "--levels", "2"], "csv"),
     # kappa n^2 overflows the chain diagonal: eigen_symmetric raises inside the sweep
     ("solver_failure", ["spectrum", "--model", "completed", "--delta", "1", "--g", "0.2",
                         "--kappa", "1e305", "--scan", "u=0:0.2:0.1"], "csv"),

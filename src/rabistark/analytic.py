@@ -85,7 +85,7 @@ class _Lanes(NamedTuple):
             dtype=float,
         ).reshape(-1, 5)
         # degrees keep their own dtype, so laguerre_lanes refuses non-integers
-        n, t_z = (np.resize(col, len(couplings) * len(labels)) for col in zip(*labels))
+        n, t_z = (np.tile(col, len(couplings)) for col in zip(*labels))
         return cls(*np.repeat(couplings.T, len(labels), axis=1), n, t_z.astype(np.int64))
 
     def take(self, idx) -> "_Lanes":
@@ -112,7 +112,9 @@ def _residual(lanes: _Lanes, lam: np.ndarray, kern0: np.ndarray, kern1: np.ndarr
     cube = lam * lam * lam
     coupled = kappa != 0.0
     cube[coupled] = _pow(lam[coupled], 3)
-    r += 2.0 * kappa * cube + 2.0 * kappa * lam * n + kappa * lam * t_z
+    # doubling last is exact and keeps kappa near the float maximum from making
+    # inf * 0 = NaN at lam = 0
+    r += kappa * cube * 2.0 + kappa * lam * n * 2.0 + kappa * lam * t_z
     return r
 
 
@@ -384,8 +386,11 @@ def _eigenvectors(energy, a, b, c, d) -> np.ndarray:
     zero = norm == 0.0
     v[zero] = np.where((energy == a)[zero, None], [1.0, 0.0], [0.0, 1.0])
     norm[zero] = 1.0
-    # an overflowed norm leaves the vector NaN; energies that are not finite fail the lane
-    v = np.divide(v, norm[:, None], out=np.full_like(v, np.nan), where=np.isfinite(norm)[:, None])
+    # an infinite energy makes inf / inf here: its NaN vector goes with a lane
+    # that fails on its energies; an overflowed norm of finite entries leaves
+    # a zero vector, whose weights _row_energies reads as zero
+    with np.errstate(invalid="ignore"):
+        v /= norm[:, None]
     flip = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0
     v[flip] = -v[flip]
     return v

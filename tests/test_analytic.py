@@ -299,6 +299,18 @@ def test_batch_failures_keep_their_reasons():
     assert str(nan_ground) == "displaced-vacuum energy nan is not finite"
 
 
+def test_an_overflowed_eigenvector_norm_keeps_the_negative_branch():
+    # at g = 0 every block is diagonal, its lower energy the |-x, n+1> entry
+    # near -u (n + 1) / 2; at u = 1e154 and n >= 1 that energy's eigenvector
+    # [b, e_lo - a] squares past the float maximum and divides down to zero,
+    # and the negative branch is still that energy
+    p = ModelParams(delta=1.0, g=0.0, u=1e154, variant=STARK)
+    with np.errstate(over="ignore"):
+        spec = analytic_spectrum(p, 2)
+    assert [(b.n, b.t_z) for b in spec.branches] == [(n, t_z) for n in range(3) for t_z in (1, -1)]
+    assert all(b.negative_energy == b.energies[0] == b.block[1, 1] for b in spec.branches)
+
+
 _COUPLING = st.floats(0.0, 1e308)
 
 
@@ -367,6 +379,9 @@ def test_solve_lambda_zero_coupling_every_mode():
     p = ModelParams(delta=1.0, g=0.0, u=1.0, kappa=0.1, variant=Variant.COMPLETED)
     for mode in LambdaMode:
         assert solve_lambda(p, 1, -1, mode=mode) == 0.0
+    # kappa near the float maximum: the condition is 0 at lam = 0, not inf * 0
+    huge_kappa = ModelParams(delta=1.0, g=0.0, kappa=1e308, variant=Variant.COMPLETED)
+    assert analytic_ground_energy(huge_kappa) == -0.5
     with pytest.raises(ValueError, match=r"^t_z must be \+1 or -1, got 0$"):
         solve_lambda(p, 1, 0)
     with pytest.raises(ValueError, match=r"^unknown lambda mode 'bogus'$"):
