@@ -386,9 +386,8 @@ def _eigenvectors(energy, a, b, c, d) -> np.ndarray:
     zero = norm == 0.0
     v[zero] = np.where((energy == a)[zero, None], [1.0, 0.0], [0.0, 1.0])
     norm[zero] = 1.0
-    # an infinite energy makes inf / inf here: its NaN vector goes with a lane
-    # that fails on its energies; an overflowed norm of finite entries leaves
-    # a zero vector, whose weights _row_energies reads as zero
+    # an overflowed norm of finite entries leaves a zero vector (zero weights in
+    # _row_energies); inf / inf leaves NaN in a lane that fails on its energies
     with np.errstate(invalid="ignore"):
         v /= norm[:, None]
     flip = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0
