@@ -23,7 +23,6 @@ incompleteness trailer), 4 divergence-dominated sweep.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -134,19 +133,17 @@ def _field_fmt(t: type) -> str:
     return "{:d}" if t is bool else "{:.16e}" if issubclass(t, float) else "{!s}"
 
 
-def _csv_rows(records) -> str | None:
-    """The lines csv.writer writes for the records' formatted fields, with one
-    format string per row of field types; None where csv would quote a field
-    (one holding a comma, a quote or a line break, or a row's only field, empty)."""
+def _csv_rows(records) -> str:
+    """The CRLF lines of the records' formatted fields, one format string per
+    row of field types.  No field is quoted: the CLI writes numbers, fixed labels
+    and empty cells of longer rows, none holding a comma, quote or line break."""
     formats, lines = {}, []
     for rec in records:
         types = tuple(map(type, rec))
         if types not in formats:
             formats[types] = ",".join(map(_field_fmt, types))
         lines.append(formats[types].format(*rec))
-    text, n = "\r\n".join(lines + [""]), len(lines)
-    plain = text.count(",") == sum(map(len, records)) - n and '"' not in text
-    return text if plain and text.count("\r") == text.count("\n") == n and "" not in lines else None
+    return "\r\n".join(lines + [""])
 
 
 def _parse_scan(text: str) -> tuple[str, tuple[float, float, float]]:
@@ -467,15 +464,9 @@ def _spec_echo(spec: SweepSpec) -> dict:
 def _write_output(spec, columns, records, extra, failure_reason) -> None:
     if spec.format == "csv":
         with open(spec.out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\r\n")
             for start in range(0, len(records), CSV_ROWS_PER_WRITE):
-                chunk = records[start : start + CSV_ROWS_PER_WRITE]
-                rows = _csv_rows(chunk)
-                if rows is None:
-                    writer.writerows([_field_fmt(type(v)).format(v) for v in rec] for rec in chunk)
-                else:
-                    fh.write(rows)
+                fh.write(_csv_rows(records[start : start + CSV_ROWS_PER_WRITE]))
             if failure_reason is not None:
                 fh.write(f"# incomplete: {failure_reason}\r\n")
         return
