@@ -69,6 +69,11 @@ CASES = [
                        "--format", "json"], "json"),
     ("error_map", _EMAP, "csv"),
     ("error_map_json", [*_EMAP, "--format", "json"], "json"),
+    # at kappa = 1e305 no ground lambda meets the residual bound: six NaN rows,
+    # each with an empty region cell
+    ("error_map_failed_lambda", ["error-map", "--model", "completed", "--delta", "1",
+                                 "--kappa", "1e305", "--scan", "g=0.1:0.2:0.1",
+                                 "--scan", "u=1.8:2.0:0.1"], "csv"),
     ("staircase_delta200_json", [*_STAIR, "--delta", "200", "--scan", "u=2.0:2.2:0.02",
                                  "--format", "json"], "json"),
     ("staircase_delta1000", [*_STAIR, "--delta", "1000", "--scan", "u=2.0:2.3:0.02"], "csv"),
@@ -100,6 +105,9 @@ CASES = [
     # more levels than the chains hold at --cutoff 10: refused before any solve
     ("refused_levels", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                         "--levels", "200001"], "csv"),
+    # 65537 levels raise the doubling's start cutoff to 32769, past its maximum 32768
+    ("refused_levels_doubling", ["collapse-check", *_STARK, "--capital-u", "1",
+                                 "--levels", "65537"], "csv"),
     ("refused_levels_json", ["spectrum", *_STARK, "--scan", "u=0:0.2:0.1", "--cutoff", "10",
                              "--levels", "200001", "--format", "json"], "json"),
     # an option set off its default that the run cannot read, one run per rule

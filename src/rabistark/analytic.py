@@ -184,6 +184,9 @@ def _pieces(size: int) -> list[slice]:
     return [slice(s, s + _LANE_BUDGET) for s in range(0, size, _LANE_BUDGET)]
 
 
+# couplings near the float maximum make inf and NaN here; a lane they leave
+# unsolved fails by a checked rule, so numpy's warnings are off
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
     """lambda and its residual for every lane of the FULL / COMPLETED_FULL
     condition, and per lane None or the reason it could not be solved.
@@ -227,8 +230,7 @@ def _solve_lambdas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray, list]:
         f = fn(np.repeat(scanning, steps), grid[cols], (first, *table), cols)
         f = f.reshape(scanning.size, steps)
         f_prev = np.concatenate([fa[scanning, None], f[:, :-1]], axis=1)
-        with np.errstate(over="ignore"):  # only the sign of the product is read
-            change = f_prev * f <= 0.0
+        change = f_prev * f <= 0.0  # only the sign of the product is read
         hit = change.any(axis=1)
         row, col = np.flatnonzero(hit), change.argmax(axis=1)[hit]
         found = scanning[hit]
@@ -388,8 +390,7 @@ def _eigenvectors(energy, a, b, c, d) -> np.ndarray:
     norm[zero] = 1.0
     # an overflowed norm of finite entries leaves a zero vector (zero weights in
     # _row_energies); inf / inf leaves NaN in a lane that fails on its energies
-    with np.errstate(invalid="ignore"):
-        v /= norm[:, None]
+    v /= norm[:, None]
     flip = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0
     v[flip] = -v[flip]
     return v
@@ -423,7 +424,8 @@ def block_eigenpairs(block: np.ndarray):
 
     Raises RegimeViolationError on a complex pair (negative discriminant).
     """
-    energies, vectors, disc = _block_eigen(np.asarray(block, dtype=float).reshape(1, 2, 2))
+    with np.errstate(invalid="ignore"):  # inf / inf in _eigenvectors, beside inf energies
+        energies, vectors, disc = _block_eigen(np.asarray(block, dtype=float).reshape(1, 2, 2))
     if disc[0] < 0.0:
         raise _complex_pair(disc[0])
     return [(float(energies[0, j]), vectors[0, j]) for j in (0, 1)]
@@ -491,6 +493,7 @@ class _Solved(NamedTuple):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _solve_lambdas
 def _solve_lanes(points, labels) -> _Solved:
     """Solve the branches (n, t_z) in labels of every point together; lane
     k * len(labels) + j is label j of point k.  A lane fails on a complex

@@ -249,13 +249,16 @@ def spectrum_at_cutoff(params: ModelParams, cutoff: int, k: int) -> Spectrum:
 
 def _doubling_schedule(start: int, max_cutoff: int, k: int) -> list[int]:
     """The cutoffs of a doubling from start, raised to at least ceil(k / 2),
-    up to max_cutoff; refused when that leaves none.  The chains of cutoff c
-    hold 2 (c + 1) levels, so for k > 2 the raised start is one above the
-    least cutoff that holds k levels (k = 65 starts at 33, not 32)."""
+    up to max_cutoff; refused when that leaves none, naming start or, where k
+    raised it, k.  The chains of cutoff c hold 2 (c + 1) levels, so for k > 2
+    the raised start is one above the least cutoff that holds k levels (k = 65
+    starts at 33, not 32)."""
     c = max(start, (k + 1) // 2)  # ceil(k / 2)
     if c > max_cutoff:
         raise ValueError(
             f"empty cutoff schedule: start_cutoff={start} exceeds max_cutoff={max_cutoff}"
+            if start > max_cutoff
+            else f"{k} levels need a start cutoff of {c}, above max_cutoff={max_cutoff}"
         )
     cutoffs = []
     while c <= max_cutoff:

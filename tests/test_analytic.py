@@ -109,11 +109,13 @@ def mp_lambda_root(p: ModelParams, n: int, t_z: int):
     t_z=st.sampled_from([+1, -1]),
     mode=st.sampled_from([LambdaMode.FULL, LambdaMode.COMPLETED_FULL]),
 )
+@example(delta=1.0, g=0.2, u=1.9, kappa=0.05, n=0, t_z=-1, mode=LambdaMode.COMPLETED_FULL)
 @settings(max_examples=50, deadline=None)
 def test_solve_lambda_matches_mpmath_root(delta, g, u, kappa, n, t_z, mode):
     variant = Variant.COMPLETED if mode is LambdaMode.COMPLETED_FULL else STARK
     p = ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
     lam = solve_lambda(p, n, t_z, mode=mode)
+    assert float.hex(solve_lambda(p, n, t_z)) == float.hex(lam)  # the variant's default mode
     assert abs(lam - mp_lambda_root(p, n, t_z)) <= 1e-14
     assert abs(lambda_condition_residual(p, n, t_z, lam)) <= 1e-12
 
@@ -272,6 +274,7 @@ def test_ladder_batch_equals_one_point_calls(draws, n_max):
         ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_failures_keep_their_reasons():
     points = _batch_points([(1.0, 1.5, 0.5, False), (1.0, 0.9, 0.5, False),
                             (3.0, 0.6, 0.0, False)])
@@ -286,27 +289,30 @@ def test_batch_failures_keep_their_reasons():
     assert reasons[(7, +1)].startswith("block eigenvalues are complex")
     with pytest.raises(RegimeViolationError):
         solve_branch(points[2], 7, +1)
+    with pytest.raises(LambdaSolveError, match=r"^no sign change of the lambda condition "
+                       r"in \[-1, 0\] \(n=0, t_z=-1\)$"):
+        solve_lambda(ModelParams(delta=1.0, g=2.0, variant=Variant.RABI), 0, -1)
     # at u = 1e200 the (0, -1) block's discriminant overflows, and at u = 1e308
-    # the displaced-vacuum energy is NaN: neither is returned as a result
+    # the displaced-vacuum energy is NaN: neither is returned as a result, and
+    # no warning is printed
     huge_u = [ModelParams(delta=1.0, g=0.2, u=u, variant=STARK) for u in (1e200, 1e308)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        overflowed_block, nan_ground = analytic_spectra(huge_u, 0)
-        with pytest.raises(LambdaSolveError, match="^displaced-vacuum energy nan is not finite$"):
-            analytic_ground_energy(huge_u[1])
+    overflowed_block, nan_ground = analytic_spectra(huge_u, 0)
+    with pytest.raises(LambdaSolveError, match="^displaced-vacuum energy nan is not finite$"):
+        analytic_ground_energy(huge_u[1])
     assert overflowed_block.failures[-1] == (
         0, -1, "block energies (-inf, inf) are not finite (n=0, t_z=-1)"
     )
     assert str(nan_ground) == "displaced-vacuum energy nan is not finite"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowed_eigenvector_norm_keeps_the_negative_branch():
     # at g = 0 every block is diagonal, its lower energy the |-x, n+1> entry
     # near -u (n + 1) / 2; at u = 1e154 and n >= 1 that energy's eigenvector
     # [b, e_lo - a] squares past the float maximum and divides down to zero,
     # and the negative branch is still that energy
     p = ModelParams(delta=1.0, g=0.0, u=1e154, variant=STARK)
-    with np.errstate(over="ignore"):
-        spec = analytic_spectrum(p, 2)
+    spec = analytic_spectrum(p, 2)
     assert [(b.n, b.t_z) for b in spec.branches] == [(n, t_z) for n in range(3) for t_z in (1, -1)]
     assert all(b.negative_energy == b.energies[0] == b.block[1, 1] for b in spec.branches)
 
@@ -327,17 +333,15 @@ _COUPLING = st.floats(0.0, 1e308)
                                               (1e308, 1e308, 1e308, 1e308)])
 @example(variant=Variant.RABI_STARK, couplings=[(1.0, 0.2, 1e200, 0.0)])
 @settings(max_examples=100, deadline=None)
-# |u| or kappa near 1e308 makes NaN intermediates, which warn but do not raise
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# |u| or kappa near 1e308 makes inf and NaN intermediates, and no warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ladder_batch_returns_one_outcome_per_point_and_never_raises(variant, couplings):
-    # a spectrum sweep makes one ladder batch (n_max = 4 beside --levels 4)
-    # with the overflow warnings off, as the CLI runs it; a point whose
-    # lambda fails is that point's outcome, never an error of the batch, and
-    # every energy returned is finite
+    # a spectrum sweep makes one ladder batch (n_max = 4 beside --levels 4);
+    # a point whose lambda fails is that point's outcome, never an error of
+    # the batch, and every energy returned is finite
     points = [ModelParams(delta=delta, g=g, u=u, kappa=kappa, variant=variant)
               for delta, g, u, kappa in couplings]
-    with np.errstate(over="ignore"):
-        ladders = analytic_ladders(points, 4)
+    ladders = analytic_ladders(points, 4)
     assert len(ladders) == len(points)
     for ladder in ladders:
         if not isinstance(ladder, LambdaSolveError):

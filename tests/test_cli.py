@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -350,6 +351,25 @@ def test_omega_scales_only_the_energy_fields(subcommand, tmp_path):
         assert got == scaled_energies(unit, fmt, omega)
 
 
+@pytest.mark.parametrize("args", [
+    *[pytest.param(args, id=name) for name, (args, _) in sorted(OMEGA_RUNS.items())],
+    # every lambda fails: NaN rows with an empty region cell
+    pytest.param(["error-map", "--model", "completed", "--delta", "1", "--kappa", "1e305",
+                  "--scan", "g=0.1:0.2:0.1", "--scan", "u=1.8:2.0:0.1"],
+                 id="error-map-failed-lambda"),
+])
+def test_written_csv_needs_no_quoting(args, tmp_path):
+    # the CLI writes its fields unquoted, so every row csv.reader parses back
+    # has the header's fields, and csv.writer writes them as the file's bytes
+    out = tmp_path / "o.csv"
+    assert main([*args, "--format", "csv", "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    assert {len(row) for row in rows} == {len(rows[0])}
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    assert text.getvalue().encode() == out.read_bytes()
+
+
 def test_error_map_bounds_are_in_units_of_omega(tmp_path, capsys):
     out = tmp_path / "emap.csv"
     grid = ["error-map", "--model", "stark", "--delta", "1", "--out", str(out)]
@@ -623,7 +643,7 @@ BOUNDS = [
     *[(run, ["--cutoff", "10", "--levels", "22"], ["--cutoff", "10", "--levels", "23"],
        "k must satisfy 1 <= k <= dim = 22, got 23") for run in _FIXED_CUTOFF_RUNS],
     (_FIXED_CUTOFF_RUNS[3], ["--levels", "65536"], ["--levels", "65537"],
-     "empty cutoff schedule: start_cutoff=32 exceeds max_cutoff=32768"),
+     "65537 levels need a start cutoff of 32769, above max_cutoff=32768"),
     # the analytic ladder's top block n = levels // 2 + 2 reads degree n + 2
     *[(run, ["--levels", "19993"], ["--levels", "19994"],
        "degree 10001 exceeds supported maximum 10000") for run in _FIXED_CUTOFF_RUNS[:3]],

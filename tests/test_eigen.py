@@ -342,6 +342,10 @@ def test_k_bounds_validated():
             eigen_symmetric(other, 1)
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         converged_spectra([ModelParams()], 0)
+    # the start cutoff that k raised, not the caller's 32, is the one refused
+    with pytest.raises(ValueError,
+                       match=r"^100 levels need a start cutoff of 50, above max_cutoff=40$"):
+        converged_spectrum(ModelParams(), 100, max_cutoff=40)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
